@@ -15,7 +15,7 @@ from .biortho import (BiorthogonalFamily, BoundProfile, bound_profile,
 from .control import (ControlSignal, ReachabilityScore, moment_residual,
                       reachability_score, synthesize)
 from .cost import (CostPoint, CostReport, CostUpper, cost_global, cost_lower,
-                   cost_sweep, cost_upper, resolve_u0)
+                   cost_sweep, cost_upper, null_control, resolve_u0)
 from .errors import (AccuracyError, ConditioningError, ConvergenceError,
                      DegctrlError, DomainError, QuadratureError,
                      TargetStiffnessError, UsageError)
@@ -41,8 +41,8 @@ __all__ = [
     "eval_eigenfunction", "eval_sigma", "evolve", "exponential_gram",
     "gamma_fn", "gram_matrix", "landau_check", "make_basis",
     "make_limit_basis", "moment_residual", "neumann_trace_numeric",
-    "project", "reachability_score", "reconstruct_state", "resolve_u0",
-    "source_coefficient", "source_coefficient_quadrature", "state_l2_norm",
-    "synthesize", "terminal_error", "trace_asymptotic_prefactor",
-    "unit_moment",
+    "null_control", "project", "reachability_score", "reconstruct_state",
+    "resolve_u0", "source_coefficient", "source_coefficient_quadrature",
+    "state_l2_norm", "synthesize", "terminal_error",
+    "trace_asymptotic_prefactor", "unit_moment",
 ]

@@ -262,14 +262,6 @@ def bessel_j_many(nu: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def bessel_j_prime_many(nu: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized J'_nu via the same recurrence as ``bessel_j_prime``."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise DomainError("arguments must be positive")
-    return (nu / x) * bessel_j_many(nu, x) - bessel_j_many(nu + 1.0, x)
-
-
 @dataclass(frozen=True)
 class ZeroRecord:
     """A certified positive zero of J_nu.

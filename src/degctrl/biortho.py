@@ -44,11 +44,11 @@ without ever forming an under/overflowing number.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fmt import write_json
 from .errors import AccuracyError, ConditioningError, DomainError, UsageError
 from .quadrature import panel_rule
 
@@ -58,10 +58,13 @@ DEFAULT_TOL = 1e-6
 _LD = np.longdouble
 
 
-def exponential_gram(lambdas_full: np.ndarray, T: float) -> np.ndarray:
-    """Gram of { e^{lambda_k (t-T)} } on [0, T], closed form."""
+def exponential_gram(lambdas_full: np.ndarray, T: float,
+                     other: np.ndarray | None = None) -> np.ndarray:
+    """Gram of { e^{lambda_k (t-T)} } on [0, T], closed form; with ``other``
+    = {mu_j}, the cross-Gram int_0^T e^{(lambda_k + mu_j)(t-T)} dt."""
     lam = np.asarray(lambdas_full, dtype=float)
-    L = lam[:, None] + lam[None, :]
+    mu = lam if other is None else np.asarray(other, dtype=float)
+    L = lam[:, None] + mu[None, :]
     out = np.empty_like(L)
     zero = L == 0.0
     out[zero] = T
@@ -189,9 +192,7 @@ class BiorthogonalFamily:
         }
 
     def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
 
 def eval_sigma(fam: BiorthogonalFamily, n: int, t) -> np.ndarray | float:

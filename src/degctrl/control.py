@@ -30,12 +30,11 @@ reachability score on the target before synthesizing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._fmt import csv_cell
+from ._fmt import write_csv, write_json
 from .biortho import BiorthogonalFamily, exponential_gram
 from .errors import AccuracyError, TargetStiffnessError, UsageError
 from .quadrature import panel_rule
@@ -102,19 +101,12 @@ class ControlSignal:
         }
 
     def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     def save_csv(self, path, samples: int = 257) -> None:
         """Sampled (t, g, G) table for plotting."""
         t = np.linspace(0.0, self.T, samples)
-        g = self.eval_g(t)
-        G = self.eval_G(t)
-        with open(path, "w") as fh:
-            fh.write("t,g,G\n")
-            for row in zip(t, g, G):
-                fh.write(",".join(csv_cell(v) for v in row) + "\n")
+        write_csv(path, ("t", "g", "G"), zip(t, self.eval_g(t), self.eval_G(t)))
 
 
 def _exp_growth_terms(muT: np.ndarray, lambdas: np.ndarray, T: float) -> np.ndarray:
@@ -140,10 +132,9 @@ def _closed_norms(weights: np.ndarray, lambdas_full: np.ndarray, T: float):
     ng2 = float(weights @ G0 @ weights)
     lam = lambdas_full[1:]
     q = weights[1:] / lam
-    damp = np.exp(-lam * T)
-    a = -float(np.dot(q, damp))
+    a = -float(np.dot(q, np.exp(-lam * T)))
     b = float(weights[0])
-    i1 = (1.0 - damp) / lam
+    i1 = G0[0, 1:]   # int_0^T e^{lambda_k (t-T)} dt
     it = T / lam - i1 / lam
     nG2 = a * a * T + a * b * T * T + b * b * T**3 / 3.0
     nG2 += 2.0 * float(np.dot(q, a * i1 + b * it))
@@ -234,16 +225,15 @@ def moment_residual(basis: SpectralBasis, signal: ControlSignal,
     muT_ext[:n] = muT.coefficients
 
     a, b = signal.affine
-    lam = signal.lambdas_full[1:]
-    q = signal.weights[1:] / lam
+    q = signal.weights[1:] / signal.lambdas_full[1:]
+    # row n: int_0^T e^{(lambda_n + lambda_k)(t-T)} dt over k = 0..N
+    conv = exponential_gram(lam_ext, signal.T, signal.lambdas_full)
     out = np.empty(n + n_extra)
     for i, ln in enumerate(lam_ext):
-        damp = np.exp(-ln * signal.T)
-        i1 = (1.0 - damp) / ln
+        i1 = conv[i, 0]
         it = signal.T / ln - i1 / ln
-        conv = (1.0 - np.exp(-(lam + ln) * signal.T)) / (lam + ln)
-        integral = a * i1 + b * it + np.dot(q, conv)
-        out[i] = r_ext[i] * integral + mu0_ext[i] * damp - muT_ext[i]
+        integral = a * i1 + b * it + np.dot(q, conv[i, 1:])
+        out[i] = r_ext[i] * integral + mu0_ext[i] * np.exp(-ln * signal.T) - muT_ext[i]
     return out
 
 

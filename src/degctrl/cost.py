@@ -1,10 +1,11 @@
 """Null-controllability cost across the degeneracy parameter.
 
 Upper estimates: the full pipeline (spectral basis -> biorthogonal family
--> moment-method control with zero target) is run and ||G||_H1 reported,
-but only after the run's own oracles pass: moment residuals below
-tolerance, |G(T)| < 1e-8, closed-form vs integrator deviation < 1e-6 and
-controlled-mode terminal residuals < 1e-5. This bounds the true cost from
+-> ``null_control``: moment-method control with zero target, moment
+replay, exact evolution) is run and ||G||_H1 reported, but only after the
+run's own oracles pass: moment residuals below tolerance, |G(T)| < 1e-8,
+controlled-mode terminal residuals < 1e-5 and closed-form vs integrator
+deviation < 1e-6. This bounds the true cost from
 above; the moment-method control is not claimed optimal.
 
 Certified lower bounds: from the moment identity
@@ -28,23 +29,64 @@ two-sided 1/(1-alpha) blow-up law; ``cost_sweep`` reports both bands.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._fmt import csv_cell
-from .biortho import build_biortho
+from ._fmt import write_csv, write_json
+from .biortho import BiorthogonalFamily, build_biortho
 from .control import moment_residual, synthesize
 from .errors import AccuracyError, ConditioningError, DomainError, UsageError
 from .simulate import ORACLE_TOL, evolve
-from .spectrum import (LimitBasis, MomentVector, SpectralBasis, make_basis,
+from .spectrum import (MomentVector, SpectralBasis, make_basis,
                        make_limit_basis, project, unit_moment)
 
 _MIN_RETRY_N = 4
-_TERMINAL_TOL = 1e-5
-_BOUNDARY_TOL = 1e-8
+TERMINAL_TOL = 1e-5
+BOUNDARY_TOL = 1e-8
 _LIMIT_COEFF_FLOOR = 1e-8
+
+
+def _parse_u0(u0, n_modes: int):
+    """``(n, None, {})`` for ``mode:<n>``, 1 <= n <= ``n_modes``, else
+    ``(None, f, kwargs)``: a profile f(x) on [0, 1] and the extra arguments
+    its projection on a SpectralBasis needs."""
+    if callable(u0):
+        return None, u0, {}
+    if not isinstance(u0, str):
+        raise UsageError(f"cannot interpret u0 of type {type(u0).__name__}")
+    kind, _, arg = u0.partition(":")
+    if kind == "mode":
+        try:
+            n = int(arg)
+        except ValueError:
+            raise UsageError(f"mode index must be an integer, got {arg!r}") from None
+        if not 1 <= n <= n_modes:
+            raise UsageError(f"mode index {n} outside 1..{n_modes}")
+        return n, None, {}
+    if kind == "poly":
+        if arg.replace(" ", "") != "x(1-x)":
+            raise UsageError(f"unknown polynomial profile {arg!r}; "
+                             "only x(1-x) is built in")
+        return None, lambda x: x * (1.0 - x), {}
+    if kind == "csv":
+        try:
+            data = np.loadtxt(arg, delimiter=",", ndmin=2)
+        except ValueError as err:
+            raise UsageError(f"cannot read csv profile {arg}: {err}") from None
+        if data.shape[0] < 1 or data.shape[1] < 2:
+            raise UsageError(f"csv profile {arg} needs rows of x,value")
+        xs, vals = data[:, 0], data[:, 1]
+        # sampled data is piecewise linear; its kinks dominate the
+        # quadrature error long before the interpolation error matters,
+        # so the projection tolerance follows the data resolution
+        return None, lambda x: np.interp(x, xs, vals), {"panels": 16, "tol": 1e-6}
+    raise UsageError(f"unknown u0 descriptor {u0!r}")
+
+
+def _moments(parsed, basis: SpectralBasis) -> MomentVector:
+    n, f, kwargs = parsed
+    return unit_moment(basis, n) if f is None else project(basis, f, **kwargs)
 
 
 def resolve_u0(u0, basis: SpectralBasis) -> MomentVector:
@@ -57,6 +99,8 @@ def resolve_u0(u0, basis: SpectralBasis) -> MomentVector:
     * ``poly:x(1-x)`` -- the built-in bump profile x(1-x);
     * ``csv:<path>`` -- two-column CSV (x, value), linearly interpolated
       and projected.
+
+    Malformed descriptors raise ``UsageError``.
     """
     if isinstance(u0, MomentVector):
         if u0.alpha != basis.alpha or len(u0) != basis.n_modes:
@@ -64,50 +108,37 @@ def resolve_u0(u0, basis: SpectralBasis) -> MomentVector:
                              f"(alpha {u0.alpha} vs {basis.alpha}, "
                              f"N {len(u0)} vs {basis.n_modes})")
         return u0
-    if callable(u0):
-        return project(basis, u0)
-    if isinstance(u0, str):
-        kind, _, arg = u0.partition(":")
-        if kind == "mode":
-            n = int(arg)
-            if not 1 <= n <= basis.n_modes:
-                raise UsageError(f"mode index {n} outside 1..{basis.n_modes}")
-            return unit_moment(basis, n)
-        if kind == "poly":
-            if arg.replace(" ", "") != "x(1-x)":
-                raise UsageError(f"unknown polynomial profile {arg!r}; "
-                                 "only x(1-x) is built in")
-            return project(basis, lambda x: x * (1.0 - x))
-        if kind == "csv":
-            # sampled data is piecewise linear; its kinks dominate the
-            # quadrature error long before the interpolation error matters,
-            # so the projection tolerance follows the data resolution
-            data = np.loadtxt(arg, delimiter=",", ndmin=2)
-            xs, vals = data[:, 0], data[:, 1]
-            return project(basis, lambda x: np.interp(x, xs, vals),
-                           panels=16, tol=1e-6)
-        raise UsageError(f"unknown u0 descriptor {u0!r}")
-    raise UsageError(f"cannot interpret u0 of type {type(u0).__name__}")
+    return _moments(_parse_u0(u0, basis.n_modes), basis)
 
 
-def _limit_coefficients(u0, limit_basis: LimitBasis) -> np.ndarray | None:
-    """Coefficients of u0 against the alpha = 1 limit family, when u0 has
-    a function form; None otherwise."""
-    if callable(u0):
-        return limit_basis.project(u0)
-    if isinstance(u0, str):
-        kind, _, arg = u0.partition(":")
-        if kind == "mode":
-            c = np.zeros(limit_basis.n_modes)
-            c[int(arg) - 1] = 1.0
-            return c
-        if kind == "poly":
-            return limit_basis.project(lambda x: x * (1.0 - x))
-        if kind == "csv":
-            data = np.loadtxt(arg, delimiter=",", ndmin=2)
-            xs, vals = data[:, 0], data[:, 1]
-            return limit_basis.project(lambda x: np.interp(x, xs, vals))
-    return None
+def null_control(basis: SpectralBasis, fam: BiorthogonalFamily,
+                 mu0: MomentVector, tol: float,
+                 grid_size: int = 512):
+    """Steer mu0 to rest: synthesize the control, replay its moments and
+    evolve the controlled modes.
+
+    Returns ``(signal, residuals, trajectory, checks)``. ``checks`` holds
+    the four oracles as ``(name, value, limit)``, each passing when
+    value <= limit: moment residuals (limit ``tol``), |G(T)|, terminal
+    residual and closed-form vs integrator deviation.
+    """
+    muT = MomentVector(alpha=basis.alpha, coefficients=np.zeros(basis.n_modes),
+                       basis_id=basis.basis_id)
+    signal = synthesize(basis, fam, mu0, muT)
+    res = moment_residual(basis, signal, mu0, muT)
+    traj = evolve(basis, mu0, signal, grid_size=grid_size)
+    checks = (
+        ("moment_residuals", float(np.max(np.abs(res))), tol),
+        ("boundary_return", abs(signal.terminal_value), BOUNDARY_TOL),
+        ("terminal_state", float(np.max(np.abs(traj.terminal))), TERMINAL_TOL),
+        ("propagation_oracle", traj.oracle_deviation, ORACLE_TOL),
+    )
+    return signal, res, traj, checks
+
+
+def _check_state(u0: MomentVector, alpha: float) -> None:
+    if u0.alpha != alpha:
+        raise UsageError(f"u0 was projected at alpha {u0.alpha}, not {alpha}")
 
 
 @dataclass(frozen=True)
@@ -132,6 +163,7 @@ def cost_upper(alpha: float, u0: MomentVector, T: float, n_modes: int,
     """
     if not 0.0 <= alpha < 1.0:
         raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
+    _check_state(u0, alpha)
     if len(u0) < n_modes:
         raise UsageError(f"u0 carries {len(u0)} coefficients, need {n_modes}")
     last_err = None
@@ -139,34 +171,20 @@ def cost_upper(alpha: float, u0: MomentVector, T: float, n_modes: int,
         basis = make_basis(alpha, n)
         mu0 = MomentVector(alpha=alpha, coefficients=u0.coefficients[:n],
                            basis_id=basis.basis_id)
-        muT = MomentVector(alpha=alpha, coefficients=np.zeros(n),
-                           basis_id=basis.basis_id)
         try:
             fam = build_biortho(basis.eigenvalues, T, tol=tol)
         except (ConditioningError, AccuracyError) as err:
             last_err = err
             continue
-        signal = synthesize(basis, fam, mu0, muT)
-        res = moment_residual(basis, signal, mu0, muT)
-        traj = evolve(basis, mu0, signal)
-        diag = {
-            "moment_residual_max": float(np.max(np.abs(res))),
-            "terminal_residual_max": float(np.max(np.abs(traj.terminal))),
-            "boundary_terminal": abs(signal.terminal_value),
-            "oracle_deviation": traj.oracle_deviation,
-            "gram_condition": fam.gram_condition,
-        }
-        failures = []
-        if diag["moment_residual_max"] > tol:
-            failures.append(f"moment residual {diag['moment_residual_max']:.2e} > {tol:.0e}")
-        if diag["boundary_terminal"] > _BOUNDARY_TOL:
-            failures.append(f"|G(T)| = {diag['boundary_terminal']:.2e} > {_BOUNDARY_TOL:.0e}")
-        if diag["oracle_deviation"] > ORACLE_TOL:
-            failures.append(f"oracle deviation {diag['oracle_deviation']:.2e} > {ORACLE_TOL:.0e}")
-        if diag["terminal_residual_max"] > _TERMINAL_TOL:
-            failures.append(f"terminal residual {diag['terminal_residual_max']:.2e} > {_TERMINAL_TOL:.0e}")
+        signal, _, _, checks = null_control(basis, fam, mu0, tol)
+        failures = [f"{name} {value:.2e} > {limit:.0e}"
+                    for name, value, limit in checks if not value <= limit]
         if failures:
             raise AccuracyError("null-control oracles failed: " + "; ".join(failures))
+        diag = dict(zip(("moment_residual_max", "boundary_terminal",
+                         "terminal_residual_max", "oracle_deviation"),
+                        (value for _, value, _ in checks)),
+                    gram_condition=fam.gram_condition)
         return CostUpper(value=signal.norms["G_h1"], n_used=n, diagnostics=diag)
     raise ConditioningError(
         f"no admissible mode count in [{_MIN_RETRY_N}, {n_modes}] for "
@@ -186,6 +204,7 @@ def cost_lower(alpha: float, u0: MomentVector, T: float,
         raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
     if not T > 0.0:
         raise DomainError(f"horizon must be positive, got {T}")
+    _check_state(u0, alpha)
     basis = make_basis(alpha, len(u0))
     lam = basis.eigenvalues
     r = basis.neumann_traces
@@ -261,18 +280,12 @@ class CostReport:
         }
 
     def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     def save_csv(self, path, header_comment: str | None = None) -> None:
         cols = ["alpha", "upper", "lower", "product_upper", "product_lower", "N_used"]
-        with open(path, "w") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            fh.write(",".join(cols) + "\n")
-            for row in self.to_rows():
-                fh.write(",".join(csv_cell(row[c]) for c in cols) + "\n")
+        write_csv(path, cols, ([row[c] for c in cols] for row in self.to_rows()),
+                  header_comment)
 
 
 #: canonical unit test set standing in for the sup over all unit u0
@@ -309,13 +322,15 @@ def cost_sweep(alphas, u0, T: float, n_modes: int,
     if isinstance(u0, MomentVector):
         raise UsageError("cost_sweep needs a function-like u0 (callable or "
                          "descriptor); moment vectors are alpha-specific")
-    limit_basis = make_limit_basis(n_modes)
-    limit_coeffs = _limit_coefficients(u0, limit_basis)
+    parsed = _parse_u0(u0, n_modes)
+    n, f, _ = parsed
+    limit_coeffs = (np.eye(n_modes)[n - 1] if f is None
+                    else make_limit_basis(n_modes).project(f))
     points = []
     for alpha in alphas:
         alpha = float(alpha)
         basis = make_basis(alpha, n_modes)
-        mu0 = resolve_u0(u0, basis)
+        mu0 = _moments(parsed, basis)
         if normalize:
             nrm = float(np.linalg.norm(mu0.coefficients))
             if nrm == 0.0:

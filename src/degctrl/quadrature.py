@@ -25,8 +25,3 @@ def panel_rule(a: float, b: float, panels: int = 8, nodes: int = 64):
     x, w = _unit_rule(panels, nodes)
     return a + (b - a) * x, (b - a) * w
 
-
-def integrate(f, a: float, b: float, panels: int = 8, nodes: int = 64) -> float:
-    """Integrate a vectorized callable over [a, b]."""
-    x, w = panel_rule(a, b, panels, nodes)
-    return float(w @ np.asarray(f(x)))

@@ -27,13 +27,12 @@ coincide.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._fmt import csv_cell
+from ._fmt import write_csv, write_json
 from .control import ControlSignal
 from .errors import DomainError, UsageError
 from .spectrum import MomentVector, SpectralBasis, eval_eigenfunction
@@ -70,12 +69,8 @@ class Trajectory:
         return self.v[:, -1]
 
     def save_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t," + ",".join(f"v{i + 1}" for i in range(self.n_modes)) + ",G\n")
-            for j, tj in enumerate(self.t):
-                cells = [csv_cell(tj)] + [csv_cell(self.v[i, j]) for i in range(self.n_modes)]
-                cells.append(csv_cell(self.G_trace[j]))
-                fh.write(",".join(cells) + "\n")
+        cols = ["t"] + [f"v{i + 1}" for i in range(self.n_modes)] + ["G"]
+        write_csv(path, cols, zip(self.t, *self.v, self.G_trace))
 
     def summary_dict(self) -> dict:
         return {
@@ -88,9 +83,7 @@ class Trajectory:
         }
 
     def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.summary_dict())
 
 
 def _closed_form_modes(basis, signal, mu0, t):

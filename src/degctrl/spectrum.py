@@ -33,12 +33,12 @@ facts are rechecked numerically on every constructed basis and recorded in
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bessel
+from ._fmt import write_json
 from .errors import DomainError, QuadratureError, UsageError
 from .quadrature import panel_rule
 
@@ -114,9 +114,7 @@ class SpectralBasis:
         }
 
     def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,15 @@ class TestGram:
         G = exponential_gram(np.array([0.0, 2.0]), 0.7)
         assert G[0, 0] == 0.7
 
+    def test_cross_gram_matches_quadrature(self):
+        lam, mu, T = np.array([0.0, 2.0, 5.0]), np.array([0.0, 3.5]), 1.3
+        cross = exponential_gram(lam, T, mu)
+        assert cross.shape == (3, 2) and cross[0, 0] == T
+        for k, lk in enumerate(lam):
+            for j, mj in enumerate(mu):
+                ref = quad_integral(lambda t: np.exp((lk + mj) * (t - T)), T)
+                assert abs(cross[k, j] - ref) < 1e-14
+
 
 class TestBuild:
     def test_residuals_below_tol(self):

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from degctrl.cli import main
 
@@ -172,3 +173,35 @@ class TestInstalledEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "9.869604401" in proc.stdout
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", ["mode_index", "mode_beyond_limit_basis",
+                                      "alphas", "config_value", "csv_cell"])
+    def test_named_usage_error(self, case, tmp_path, capsys):
+        (tmp_path / "bad.cfg").write_text("alpha=0.5\nmodes=abc\n")
+        (tmp_path / "bad.csv").write_text("0,0\n0.5,abc\n1,0\n")
+        argv = {
+            "mode_index": ["synthesize", "--alpha", "0.5", "--u0", "mode:x"],
+            "mode_beyond_limit_basis": ["cost-sweep", "--alphas", "0.5",
+                                        "--modes", "12", "--u0", "mode:13"],
+            "alphas": ["cost-sweep", "--alphas", "0.5,abc"],
+            "config_value": ["spectrum", "--config", str(tmp_path / "bad.cfg")],
+            "csv_cell": ["simulate", "--alpha", "0.5",
+                         "--u0", f"csv:{tmp_path / 'bad.csv'}"],
+        }[case]
+        assert run_cli(argv + ["--out-dir", str(tmp_path)]) == 2
+        assert "usage error" in capsys.readouterr().err
+
+
+class TestSigmaReplay:
+    def test_sound_family_passes(self, tmp_path, capsys):
+        # this family's residual on a finer graded rule is ~3e-8; the
+        # replay rule must not report it above the 1e-6 limit
+        code = run_cli(["verify", "--alpha", "0", "--modes", "10",
+                        "--horizon", "2", "--seed", "3",
+                        "--out-dir", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / "verify.json").read_text())
+        replay = next(c for c in report["checks"] if c["name"] == "sigma_replay")
+        assert replay["passed"] and replay["metric"] <= 1e-6

@@ -174,3 +174,14 @@ class TestResolveU0:
             resolve_u0("fourier:1", basis)
         with pytest.raises(UsageError):
             resolve_u0("poly:x^2", basis)
+
+
+class TestStateAlphaMismatch:
+    @pytest.mark.parametrize("bound", ["upper", "lower"])
+    def test_state_projected_at_other_alpha_is_rejected(self, bound):
+        mu0 = unit_moment(make_basis(0.3, 6), 1)
+        with pytest.raises(UsageError, match="alpha"):
+            if bound == "upper":
+                cost_upper(0.5, mu0, 1.0, 6)
+            else:
+                cost_lower(0.5, mu0, 1.0)
