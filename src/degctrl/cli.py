@@ -46,6 +46,9 @@ _OPTIONS = {
     "grid": (int, 512, ("simulate",)),
 }
 
+#: the values an option accepts, for flags and config files alike
+_CHOICES = {"format": ("csv", "json")}
+
 
 def _dest(key: str) -> str:
     return key.replace("-", "_").lower()
@@ -70,6 +73,9 @@ def _load_config(path: str) -> dict:
             except ValueError:
                 raise UsageError(f"{path}:{lineno}: {key} expects "
                                  f"{typ.__name__}, got {val!r}") from None
+            if key in _CHOICES and values[key] not in _CHOICES[key]:
+                raise UsageError(f"{path}:{lineno}: {key} must be one of "
+                                 f"{', '.join(_CHOICES[key])}, got {val!r}")
     return values
 
 
@@ -85,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
         for key, (typ, _, commands) in _OPTIONS.items():
             if commands is None or name in commands:
                 p.add_argument(f"--{key}", dest=_dest(key), type=typ, default=None,
-                               choices=("csv", "json") if key == "format" else None)
+                               choices=_CHOICES.get(key))
     return parser
 
 

@@ -137,18 +137,52 @@ class MomentVector:
 
 def unit_moment(basis: SpectralBasis, n: int) -> MomentVector:
     """Moment vector of the basis vector e_n (1-based)."""
+    if not 1 <= n <= basis.n_modes:
+        raise UsageError(f"mode index {n} outside 1..{basis.n_modes}")
     c = np.zeros(basis.n_modes)
     c[n - 1] = 1.0
     return MomentVector(alpha=basis.alpha, coefficients=c, basis_id=basis.basis_id)
 
 
+#: the basis make_basis built last, keyed by repr(alpha) so that -0.0 and
+#: 0.0 stay apart exactly as in basis_id; replaced, never mutated
+_last_basis: tuple[str, SpectralBasis] | None = None
+
+
+def _certified_basis(alpha, nu, kappa, modes) -> SpectralBasis:
+    """Attach the gap certificate to ``modes``; raise if it fails."""
+    sq = kappa * np.array([m.zero for m in modes])
+    gaps = np.diff(sq)
+    gap = {
+        "sqrt_lambda_1": float(sq[0]),
+        "first_bound": GAP_FIRST,
+        "min_gap": float(np.min(gaps)) if len(gaps) else float("inf"),
+        "gap_bound": GAP_CONSECUTIVE,
+    }
+    if sq[0] < GAP_FIRST - 1e-12 or (len(gaps) and np.min(gaps) < GAP_CONSECUTIVE - 1e-12):
+        raise DomainError(f"uniform gap certificate violated: {gap}")
+    return SpectralBasis(alpha=alpha, nu=nu, kappa=kappa, modes=tuple(modes),
+                         p0=1.0 / (1.0 - alpha), gap=gap)
+
+
 def make_basis(alpha: float, n_modes: int) -> SpectralBasis:
-    """Build the first ``n_modes`` eigenmodes for a given alpha in [0, 1)."""
+    """Build the first ``n_modes`` eigenmodes for a given alpha in [0, 1).
+
+    The modes of a basis do not depend on its size, so a call with the
+    alpha of the previous build and no more modes slices that build; the
+    result equals a fresh build field for field.
+    """
+    global _last_basis
     alpha = float(alpha)
     if not 0.0 <= alpha < 1.0:
         raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
     if n_modes < 1:
         raise DomainError(f"need at least one mode, got {n_modes}")
+    key = repr(alpha)
+    kept = _last_basis   # one read: another thread may replace it
+    if kept is not None and kept[0] == key and n_modes <= kept[1].n_modes:
+        last = kept[1]
+        return _certified_basis(alpha, last.nu, last.kappa, last.modes[:n_modes])
     nu = (1.0 - alpha) / (2.0 - alpha)
     kappa = (2.0 - alpha) / 2.0
     trace_pref = ((1.0 - alpha) * np.sqrt(2.0 * kappa)
@@ -165,18 +199,9 @@ def make_basis(alpha: float, n_modes: int) -> SpectralBasis:
             norm_const=np.sqrt(2.0 * kappa) / jp,
             neumann_trace=trace_pref * j**nu / jp,
         ))
-    sq = kappa * np.array([m.zero for m in modes])
-    gaps = np.diff(sq)
-    gap = {
-        "sqrt_lambda_1": float(sq[0]),
-        "first_bound": GAP_FIRST,
-        "min_gap": float(np.min(gaps)) if len(gaps) else float("inf"),
-        "gap_bound": GAP_CONSECUTIVE,
-    }
-    if sq[0] < GAP_FIRST - 1e-12 or (len(gaps) and np.min(gaps) < GAP_CONSECUTIVE - 1e-12):
-        raise DomainError(f"uniform gap certificate violated: {gap}")
-    return SpectralBasis(alpha=alpha, nu=nu, kappa=kappa, modes=tuple(modes),
-                         p0=1.0 / (1.0 - alpha), gap=gap)
+    basis = _certified_basis(alpha, nu, kappa, modes)
+    _last_basis = (key, basis)
+    return basis
 
 
 def eval_eigenfunction(basis: SpectralBasis, n: int, x) -> float | np.ndarray:

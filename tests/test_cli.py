@@ -193,6 +193,13 @@ class TestMalformedInput:
         assert run_cli(argv + ["--out-dir", str(tmp_path)]) == 2
         assert "usage error" in capsys.readouterr().err
 
+    def test_config_format_outside_choices(self, tmp_path, capsys):
+        (tmp_path / "bad.cfg").write_text("alpha=0.5\nmodes=3\nformat=xml\n")
+        assert run_cli(["spectrum", "--config", str(tmp_path / "bad.cfg"),
+                        "--out-dir", str(tmp_path)]) == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("spectrum.*"))
+
 
 class TestSigmaReplay:
     def test_sound_family_passes(self, tmp_path, capsys):

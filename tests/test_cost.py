@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from degctrl import bessel
 from degctrl.biortho import build_biortho, eval_sigma
 from degctrl.cost import (cost_global, cost_lower, cost_sweep, cost_upper,
                           resolve_u0)
@@ -136,6 +137,18 @@ class TestCostSweep:
         data = json.loads(jpath.read_text())
         assert data["N"] == 6
         assert len(data["rows"]) == 2
+
+
+    def test_one_basis_per_alpha(self, monkeypatch):
+        # cost_sweep, cost_lower and every cost_upper back-off step share
+        # one build of the basis: 12 zeros per alpha, not 47
+        make_basis(0.99, 1)
+        calls = []
+        zero = bessel.bessel_zero
+        monkeypatch.setattr(bessel, "bessel_zero",
+                            lambda *a: calls.append(a) or zero(*a))
+        cost_sweep([0.1, 0.3, 0.5, 0.7, 0.9], "mode:1", 1.0, 12)
+        assert len(calls) == 60
 
 
 class TestCostGlobal:

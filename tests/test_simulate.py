@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from degctrl.biortho import build_biortho
 from degctrl.control import synthesize
 from degctrl.errors import UsageError
 from degctrl.quadrature import panel_rule
-from degctrl.simulate import evolve, reconstruct_state, terminal_error
+from degctrl.simulate import (_integrator_modes, evolve, reconstruct_state,
+                              terminal_error)
 from degctrl.spectrum import (MomentVector, eval_eigenfunction, make_basis,
                               project, unit_moment)
 
@@ -148,6 +150,55 @@ class TestEvolve:
         short = make_basis(0.0, 3)
         with pytest.raises(UsageError):
             evolve(basis, unit_moment(short, 1), sig)
+
+
+def per_step_integrator(basis, signal, mu0, t, gauss_nodes=12):
+    """Reference: the integrator as a loop that quadratures every step on
+    its own nodes, evaluating g and the kernel afresh."""
+    lam = basis.eigenvalues
+    r = basis.neumann_traces
+    xg, wg = np.polynomial.legendre.leggauss(gauss_nodes)
+    v = np.empty((len(lam), len(t)))
+    v[:, 0] = mu0
+    for j in range(len(t) - 1):
+        a, b = t[j], t[j + 1]
+        h = b - a
+        s = (xg + 1.0) * (h / 2.0) + a
+        E = np.exp(-lam[:, None] * (b - s)[None, :])
+        v[:, j + 1] = (np.exp(-lam * h) * v[:, j]
+                       - (r / lam) * (E @ (wg * signal.eval_g(s))) * (h / 2.0))
+    return v
+
+
+class TestIntegratorIndependence:
+    """The integrator checks the closed form only while it shares none of
+    its algebra: it must show its own discretization error on a coarse
+    grid and agree to rounding on the default one."""
+
+    @staticmethod
+    def bump_control(alpha):
+        basis = make_basis(alpha, 8)
+        fam = build_biortho(basis.eigenvalues, 1.0)
+        mu0 = project(basis, lambda x: x * (1.0 - x))
+        return basis, mu0, synthesize(basis, fam, mu0, zero_target(basis))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
+    def test_oracle_deviation_follows_grid(self, alpha):
+        basis, mu0, sig = self.bump_control(alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            coarse = evolve(basis, mu0, sig, grid_size=4)
+        assert coarse.oracle_deviation > 1e-8
+        assert evolve(basis, mu0, sig).oracle_deviation < 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("grid_size", [4, 512])
+    def test_matches_per_step_loop(self, alpha, grid_size):
+        basis, mu0, sig = self.bump_control(alpha)
+        t = np.linspace(0.0, sig.T, grid_size + 1)
+        c = mu0.coefficients
+        ref = per_step_integrator(basis, sig, c, t)
+        assert np.max(np.abs(_integrator_modes(basis, sig, c, t) - ref)) <= 1e-13
 
 
 class TestTerminalError:

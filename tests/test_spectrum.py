@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from degctrl import bessel
 from degctrl.bessel import bessel_j, bessel_j_prime
 from degctrl.errors import DomainError, UsageError
 from degctrl.spectrum import (GAP_CONSECUTIVE, GAP_FIRST, eval_eigenfunction,
@@ -245,3 +246,29 @@ class TestMomentVector:
             unit_moment(basis, 1).__class__(
                 alpha=0.5, coefficients=np.array([np.nan, 1.0]),
                 basis_id=basis.basis_id)
+
+    @pytest.mark.parametrize("n", [0, -1, 6])
+    def test_unit_moment_range(self, n):
+        with pytest.raises(UsageError, match="outside 1..5"):
+            unit_moment(make_basis(0.5, 5), n)
+
+
+class TestBasisReuse:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_prefix_equals_fresh_build(self, n, monkeypatch):
+        make_basis(0.1, 1)   # displace any kept basis of alpha 0.7
+        fresh = make_basis(0.7, n)
+        make_basis(0.7, 12)
+        calls = []
+        zero = bessel.bessel_zero
+        monkeypatch.setattr(bessel, "bessel_zero",
+                            lambda *a: calls.append(a) or zero(*a))
+        reused = make_basis(0.7, n)
+        assert calls == []
+        assert reused == fresh
+        assert reused.gap == fresh.gap
+        assert reused.basis_id == fresh.basis_id == f"alpha=0.7;N={n}"
+
+    def test_signed_zero_alphas_stay_apart(self):
+        assert make_basis(-0.0, 4).basis_id == "alpha=-0.0;N=4"
+        assert make_basis(0.0, 4).basis_id == "alpha=0.0;N=4"
