@@ -361,33 +361,3 @@ def bessel_zero(nu: float, n: int) -> ZeroRecord:
             f"(bracket [{lo}, {hi}])")
     return ZeroRecord(order=nu, index=n, zero=best_x, newton_iters=iters,
                       bracket=(lo, hi))
-
-
-@dataclass(frozen=True)
-class LandauReport:
-    """Pointwise check of |J_nu| <= nu^{-1/3} and |J_nu| <= x^{-1/3}."""
-
-    order: float
-    arguments: np.ndarray
-    values: np.ndarray
-    margin_order: np.ndarray   # nu^{-1/3} - |J|
-    margin_argument: np.ndarray  # x^{-1/3} - |J|
-    passed: bool
-
-
-def landau_check(nu: float, xs) -> LandauReport:
-    """Verify the Landau bounds at every sample; margins are reported."""
-    nu = float(nu)
-    if not nu > 0.0:
-        raise DomainError("the order bound nu^{-1/3} needs nu > 0")
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if xs.size == 0:
-        raise DomainError("need at least one sample point")
-    if np.any(xs <= 0.0):
-        raise DomainError("sample points must be positive")
-    vals = np.abs(bessel_j_many(nu, xs))
-    m_nu = nu ** (-1.0 / 3.0) - vals
-    m_x = xs ** (-1.0 / 3.0) - vals
-    ok = bool(np.all(m_nu >= 0.0) and np.all(m_x >= 0.0))
-    return LandauReport(order=nu, arguments=xs, values=vals,
-                        margin_order=m_nu, margin_argument=m_x, passed=ok)

@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fmt import write_json
 from .errors import AccuracyError, ConditioningError, DomainError, UsageError
 from .quadrature import panel_rule
 
@@ -157,21 +156,6 @@ class BiorthogonalFamily:
             raise AccuracyError(f"computed ||sigma_{n}||^2 is negative: {a_nn}")
         return float(np.sqrt(a_nn))
 
-    def log_sigma_norm(self, n: int) -> float:
-        """log ||sigma_n||_{L2(0,T)} without underflow."""
-        return float(np.log(self.sigma_tilde_norm(n)) - self.lambdas[n - 1] * self.T)
-
-    def sigma_norm(self, n: int) -> float:
-        """||sigma_n||; underflows to 0.0 when the true value is < ~1e-308."""
-        return float(np.exp(self.log_sigma_norm(n)))
-
-    def span_coefficients(self, n: int) -> np.ndarray:
-        """c[n][k] with sigma_n(t) = sum_k c[n][k] e^{lambda_k (t-T)}.
-
-        Subject to harmless underflow for lambda_n T beyond ~709.
-        """
-        return np.exp(-self.lambdas[n - 1] * self.T) * self.coeffs_reflected[:, n - 1]
-
     def eval_sigma_reflected(self, n: int, s) -> np.ndarray | float:
         """tilde_sigma_n(s) = sum_k a[n][k] e^{-lambda_k s}."""
         scalar = np.isscalar(s)
@@ -190,9 +174,6 @@ class BiorthogonalFamily:
             "gram_condition": self.gram_condition,
             "tol": self.tol,
         }
-
-    def save_json(self, path) -> None:
-        write_json(path, self.to_json_dict())
 
 
 def eval_sigma(fam: BiorthogonalFamily, n: int, t) -> np.ndarray | float:
@@ -218,7 +199,8 @@ def build_biortho(lambdas, T: float, tol: float = DEFAULT_TOL) -> BiorthogonalFa
     Raises ``ConditioningError`` when the Gram condition number exceeds
     1e14 (reporting the largest admissible N for this horizon) and
     ``AccuracyError`` when the independently recomputed residual exceeds
-    ``tol`` even after iterative refinement.
+    ``tol`` even after iterative refinement. ``T`` and ``tol`` must be
+    finite and positive (``DomainError`` otherwise).
     """
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or len(lam) < 1:
@@ -227,6 +209,10 @@ def build_biortho(lambdas, T: float, tol: float = DEFAULT_TOL) -> BiorthogonalFa
         raise DomainError("exponents must be positive and strictly increasing")
     if not T > 0.0:
         raise DomainError(f"horizon must be positive, got {T}")
+    if not np.isfinite(T):
+        raise DomainError(f"horizon must be finite, got {T}")
+    if not 0.0 < tol < np.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     n = len(lam)
     lams_full = np.concatenate([[0.0], lam])
     G = exponential_gram(lams_full, T)

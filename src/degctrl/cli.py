@@ -17,16 +17,12 @@ import sys
 
 import numpy as np
 
-from . import bessel
 from ._fmt import write_csv, write_json
-from .biortho import bound_profile, build_biortho, eval_sigma, exponential_gram
+from .biortho import bound_profile, build_biortho
 from .control import moment_residual, reachability_score, synthesize
-from .cost import BOUNDARY_TOL, cost_sweep, null_control, resolve_u0
+from .cost import BOUNDARY_TOL, cost_sweep, null_control, resolve_u0, verify
 from .errors import DegctrlError, DomainError, UsageError
-from .quadrature import panel_rule
-from .spectrum import (MomentVector, gram_matrix, make_basis,
-                       neumann_trace_numeric, source_coefficient,
-                       source_coefficient_quadrature)
+from .spectrum import MomentVector, make_basis
 
 #: every option in --help order: config-file key -> (type, default,
 #: subcommands taking it as a flag, None meaning all); the resolved
@@ -234,6 +230,8 @@ def _cmd_cost_sweep(cfg) -> int:
         alphas = [cfg["alpha"]]
     else:
         raise UsageError("--alphas (or --alpha) is required for cost-sweep")
+    if not alphas:
+        raise UsageError(f"--alphas names no alpha, got {cfg['alphas']!r}")
     if any(not 0.0 <= a < 1.0 for a in alphas):
         raise UsageError("all sweep alphas must lie in [0, 1)")
     u0 = cfg["u0"] if cfg["u0"] is not None else "mode:1"
@@ -248,81 +246,10 @@ def _cmd_cost_sweep(cfg) -> int:
     return 0 if certified else 1
 
 
-def _verify_checks(cfg):
-    basis, fam = _family(cfg)
-    n = cfg["modes"]
-    T = cfg["horizon"]
-    tol = cfg["tol"]
-    rng = np.random.default_rng(cfg["seed"])
-    checks = []
-
-    def record(name, passed, metric):
-        checks.append({"name": name, "passed": bool(passed), "metric": metric})
-
-    record("gap_certificate",
-           basis.gap["sqrt_lambda_1"] >= basis.gap["first_bound"] - 1e-12
-           and basis.gap["min_gap"] >= basis.gap["gap_bound"] - 1e-12,
-           basis.gap["min_gap"])
-
-    resid = max(abs(bessel.bessel_j(basis.nu, m.zero).value) for m in basis.modes)
-    brackets = all(lo - 1e-9 <= m.zero <= hi + 1e-9 for m in basis.modes
-                   for lo, hi in [bessel.lorch_muldoon_bracket(basis.nu, m.index)])
-    record("zero_certification", resid < 1e-12 and brackets, resid)
-
-    gram_dev = float(np.max(np.abs(gram_matrix(basis) - np.eye(n))))
-    record("orthonormality", gram_dev < 1e-8, gram_dev)
-
-    src_dev = max(abs(source_coefficient_quadrature(basis, k) - source_coefficient(basis, k))
-                  for k in range(1, n + 1))
-    record("source_coefficient", src_dev < 1e-8, src_dev)
-
-    trace_devs = [abs(neumann_trace_numeric(basis, 1, xs) - basis.modes[0].neumann_trace)
-                  for xs in (1e-3, 1e-4, 1e-5)]
-    record("neumann_trace_convergence",
-           trace_devs[2] < trace_devs[1] < trace_devs[0], trace_devs[2])
-
-    zm = float(np.max(np.abs(fam.zero_mean_values)))
-    record("biorthogonality", fam.residual_max <= tol, fam.residual_max)
-    record("zero_mean", zm <= 1e-8, zm)
-
-    # min-norm: constraint-respecting perturbations cannot shrink the norm
-    mids = 0.5 * (fam.lambdas[:-1] + fam.lambdas[1:])
-    extra = np.concatenate([mids, [fam.lambdas[-1] * 1.5]])
-    A = exponential_gram(fam.lambdas_full, T, extra)
-    Gp = exponential_gram(extra, T)
-    ok_min = True
-    worst = 0.0
-    for idx in (1, max(1, fam.n_modes // 2)):
-        a_vec = fam.coeffs_reflected[:, idx - 1]
-        base = fam.sigma_tilde_norm(idx) ** 2
-        for _ in range(4):
-            q = rng.standard_normal(len(extra))
-            q -= np.linalg.lstsq(A, A @ q, rcond=None)[0]
-            grown = base + 2.0 * a_vec @ (A @ q) + q @ Gp @ q
-            worst = max(worst, (base - grown) / base)
-            ok_min &= grown >= base * (1.0 - 1e-8)
-    record("min_norm_optimality", ok_min, worst)
-
-    mu0 = resolve_u0(cfg["u0"] or "mode:1", basis)
-    *_, oracles = null_control(basis, fam, mu0, tol, grid_size=cfg["grid"])
-    for name, value, limit in oracles:
-        record(name, value <= limit, value)
-
-    # replay int sigma_m e^{lambda_m t} dt = 1 by quadrature, damped split
-    # on 24 panels: mirrored by s = T - t, 32 panels would reuse the nodes
-    # of the family's own residual rule and lose the independence
-    t, w = panel_rule(0.0, T, 24, 32)
-    replay = 0.0
-    for m in range(1, min(n, 4) + 1):
-        lam_m = fam.lambdas[m - 1]
-        damped = np.dot(w, eval_sigma(fam, m, t) * np.exp(lam_m * (t - T)))
-        replay = max(replay, abs(damped * np.exp(lam_m * T) - 1.0))
-    record("sigma_replay", replay <= tol, float(replay))
-    return checks
-
-
 def _cmd_verify(cfg) -> int:
-    checks = _verify_checks(cfg)
+    basis, fam = _family(cfg)
+    mu0 = resolve_u0(cfg["u0"] or "mode:1", basis)
+    checks = verify(basis, fam, mu0, cfg["tol"], cfg["seed"], cfg["grid"])
     all_ok = all(c["passed"] for c in checks)
     _write_json(cfg, "verify.json", {"checks": checks, "all_passed": all_ok})
     for c in checks:

@@ -25,6 +25,9 @@ drives the blow-up constant; elsewhere the bound maximizes over all modes.
 
 Scaled products (1-alpha) * upper and (1-alpha) * lower trace the
 two-sided 1/(1-alpha) blow-up law; ``cost_sweep`` reports both bands.
+
+``verify`` checks every stage of that chain, the ``null_control``
+oracles included, so every check limit lives in this module.
 """
 
 from __future__ import annotations
@@ -33,13 +36,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fmt import write_csv, write_json
-from .biortho import BiorthogonalFamily, build_biortho
+from . import bessel
+from ._fmt import write_csv
+from .biortho import (BiorthogonalFamily, build_biortho, eval_sigma,
+                      exponential_gram)
 from .control import moment_residual, synthesize
 from .errors import AccuracyError, ConditioningError, DomainError, UsageError
+from .quadrature import panel_rule
 from .simulate import ORACLE_TOL, evolve
-from .spectrum import (MomentVector, SpectralBasis, make_basis,
-                       make_limit_basis, project, unit_moment)
+from .spectrum import (MomentVector, SpectralBasis, gram_matrix, make_basis,
+                       make_limit_basis, neumann_trace_numeric, project,
+                       source_coefficient, source_coefficient_quadrature,
+                       unit_moment)
 
 _MIN_RETRY_N = 4
 TERMINAL_TOL = 1e-5
@@ -134,6 +142,81 @@ def null_control(basis: SpectralBasis, fam: BiorthogonalFamily,
         ("propagation_oracle", traj.oracle_deviation, ORACLE_TOL),
     )
     return signal, res, traj, checks
+
+
+def verify(basis: SpectralBasis, fam: BiorthogonalFamily, mu0: MomentVector,
+           tol: float, seed: int = 0, grid_size: int = 512) -> list[dict]:
+    """Invariant battery over every stage of the pipeline: one
+    ``{name, passed, metric}`` entry per check, in ``verify.json`` order.
+    ``seed`` draws the min-norm perturbations; mu0 is steered to rest
+    for the four ``null_control`` oracles."""
+    n = basis.n_modes
+    T = fam.T
+    rng = np.random.default_rng(seed)
+    checks = []
+
+    def record(name, passed, metric):
+        checks.append({"name": name, "passed": bool(passed), "metric": metric})
+
+    record("gap_certificate",
+           basis.gap["sqrt_lambda_1"] >= basis.gap["first_bound"] - 1e-12
+           and basis.gap["min_gap"] >= basis.gap["gap_bound"] - 1e-12,
+           basis.gap["min_gap"])
+
+    resid = max(abs(bessel.bessel_j(basis.nu, m.zero).value) for m in basis.modes)
+    brackets = all(lo - 1e-9 <= m.zero <= hi + 1e-9 for m in basis.modes
+                   for lo, hi in [bessel.lorch_muldoon_bracket(basis.nu, m.index)])
+    record("zero_certification", resid < 1e-12 and brackets, resid)
+
+    gram_dev = float(np.max(np.abs(gram_matrix(basis) - np.eye(n))))
+    record("orthonormality", gram_dev < 1e-8, gram_dev)
+
+    src_dev = max(abs(source_coefficient_quadrature(basis, k) - source_coefficient(basis, k))
+                  for k in range(1, n + 1))
+    record("source_coefficient", src_dev < 1e-8, src_dev)
+
+    trace_devs = [abs(neumann_trace_numeric(basis, 1, xs) - basis.modes[0].neumann_trace)
+                  for xs in (1e-3, 1e-4, 1e-5)]
+    record("neumann_trace_convergence",
+           trace_devs[2] < trace_devs[1] < trace_devs[0], trace_devs[2])
+
+    zm = float(np.max(np.abs(fam.zero_mean_values)))
+    record("biorthogonality", fam.residual_max <= tol, fam.residual_max)
+    record("zero_mean", zm <= 1e-8, zm)
+
+    # min-norm: constraint-respecting perturbations cannot shrink the norm
+    mids = 0.5 * (fam.lambdas[:-1] + fam.lambdas[1:])
+    extra = np.concatenate([mids, [fam.lambdas[-1] * 1.5]])
+    A = exponential_gram(fam.lambdas_full, T, extra)
+    Gp = exponential_gram(extra, T)
+    ok_min = True
+    worst = 0.0
+    for idx in (1, max(1, fam.n_modes // 2)):
+        a_vec = fam.coeffs_reflected[:, idx - 1]
+        base = fam.sigma_tilde_norm(idx) ** 2
+        for _ in range(4):
+            q = rng.standard_normal(len(extra))
+            q -= np.linalg.lstsq(A, A @ q, rcond=None)[0]
+            grown = base + 2.0 * a_vec @ (A @ q) + q @ Gp @ q
+            worst = max(worst, (base - grown) / base)
+            ok_min &= grown >= base * (1.0 - 1e-8)
+    record("min_norm_optimality", ok_min, worst)
+
+    *_, oracles = null_control(basis, fam, mu0, tol, grid_size=grid_size)
+    for name, value, limit in oracles:
+        record(name, value <= limit, value)
+
+    # replay int sigma_m e^{lambda_m t} dt = 1 by quadrature, damped split
+    # on 24 panels: mirrored by s = T - t, 32 panels would reuse the nodes
+    # of the family's own residual rule and lose the independence
+    t, w = panel_rule(0.0, T, 24, 32)
+    replay = 0.0
+    for m in range(1, min(n, 4) + 1):
+        lam_m = fam.lambdas[m - 1]
+        damped = np.dot(w, eval_sigma(fam, m, t) * np.exp(lam_m * (t - T)))
+        replay = max(replay, abs(damped * np.exp(lam_m * T) - 1.0))
+    record("sigma_replay", replay <= tol, float(replay))
+    return checks
 
 
 def _check_state(u0: MomentVector, alpha: float) -> None:
@@ -245,7 +328,6 @@ class CostReport:
     u0_descr: str
     T: float
     n_modes: int
-    normalized: bool
 
     @property
     def product_upper_ratio(self) -> float:
@@ -274,13 +356,10 @@ class CostReport:
             "u0": self.u0_descr,
             "T": self.T,
             "N": self.n_modes,
-            "normalized": self.normalized,
+            "normalized": True,
             "product_upper_ratio": self.product_upper_ratio,
             "rows": self.to_rows(),
         }
-
-    def save_json(self, path) -> None:
-        write_json(path, self.to_json_dict())
 
     def save_csv(self, path, header_comment: str | None = None) -> None:
         cols = ["alpha", "upper", "lower", "product_upper", "product_lower", "N_used"]
@@ -288,36 +367,15 @@ class CostReport:
                   header_comment)
 
 
-#: canonical unit test set standing in for the sup over all unit u0
-GLOBAL_TEST_SET = ("mode:1", "mode:2", "poly:x(1-x)")
-
-
-def cost_global(alpha: float, T: float, n_modes: int, tol: float = 1e-6) -> float:
-    """Estimate of the global cost sup_{||u0||=1} C(alpha, u0).
-
-    A true operator-norm computation is out of scope; the supremum is
-    lower-approximated by the maximum over the fixed test set
-    ``GLOBAL_TEST_SET`` of unit initial states.
-    """
-    best = 0.0
-    basis = make_basis(alpha, n_modes)
-    for descr in GLOBAL_TEST_SET:
-        mu = resolve_u0(descr, basis)
-        c = mu.coefficients / np.linalg.norm(mu.coefficients)
-        mu = MomentVector(alpha=alpha, coefficients=c, basis_id=basis.basis_id)
-        best = max(best, cost_upper(alpha, mu, T, n_modes, tol=tol).value)
-    return best
-
-
 def cost_sweep(alphas, u0, T: float, n_modes: int,
-               normalize: bool = True, tol: float = 1e-6) -> CostReport:
+               tol: float = 1e-6) -> CostReport:
     """Run upper and lower cost estimates over an alpha grid.
 
     ``u0`` may be anything ``resolve_u0`` accepts except a raw
-    MomentVector (the coefficients must be re-projected per alpha). With
-    ``normalize`` the moment vector is scaled to unit l2 norm at each
-    alpha, so points measure cost per unit of initial data. Per-alpha
-    failures are recorded and the sweep continues.
+    MomentVector (the coefficients must be re-projected per alpha). The
+    moment vector is scaled to unit l2 norm at each alpha, so points
+    measure cost per unit of initial data. Per-alpha failures are recorded
+    and the sweep continues.
     """
     if isinstance(u0, MomentVector):
         raise UsageError("cost_sweep needs a function-like u0 (callable or "
@@ -331,12 +389,11 @@ def cost_sweep(alphas, u0, T: float, n_modes: int,
         alpha = float(alpha)
         basis = make_basis(alpha, n_modes)
         mu0 = _moments(parsed, basis)
-        if normalize:
-            nrm = float(np.linalg.norm(mu0.coefficients))
-            if nrm == 0.0:
-                raise UsageError("u0 projects to the zero vector; cannot normalize")
-            mu0 = MomentVector(alpha=alpha, coefficients=mu0.coefficients / nrm,
-                               basis_id=basis.basis_id)
+        nrm = float(np.linalg.norm(mu0.coefficients))
+        if nrm == 0.0:
+            raise UsageError("u0 projects to the zero vector; cannot normalize")
+        mu0 = MomentVector(alpha=alpha, coefficients=mu0.coefficients / nrm,
+                           basis_id=basis.basis_id)
         lower = cost_lower(alpha, mu0, T, limit_coeffs=limit_coeffs)
         try:
             up = cost_upper(alpha, mu0, T, n_modes, tol=tol)
@@ -347,4 +404,4 @@ def cost_sweep(alphas, u0, T: float, n_modes: int,
                                     n_used=None, ok=False, message=str(err)))
     descr = u0 if isinstance(u0, str) else getattr(u0, "__name__", "callable")
     return CostReport(points=tuple(points), u0_descr=descr, T=float(T),
-                      n_modes=n_modes, normalized=normalize)
+                      n_modes=n_modes)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fmt import write_csv, write_json
+from ._fmt import write_csv
 from .control import ControlSignal
 from .errors import DomainError, UsageError
 from .spectrum import MomentVector, SpectralBasis, eval_eigenfunction
@@ -89,9 +89,6 @@ class Trajectory:
             "oracle_deviation": self.oracle_deviation,
             "terminal_boundary_value": float(self.G_trace[-1]),
         }
-
-    def save_json(self, path) -> None:
-        write_json(path, self.summary_dict())
 
 
 def _closed_form_modes(basis, signal, mu0, t):

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bessel
-from ._fmt import write_json
 from .errors import DomainError, QuadratureError, UsageError
 from .quadrature import panel_rule
 
@@ -112,9 +111,6 @@ class SpectralBasis:
                 for m in self.modes
             ],
         }
-
-    def save_json(self, path) -> None:
-        write_json(path, self.to_json_dict())
 
 
 @dataclass(frozen=True)
@@ -231,50 +227,44 @@ def _phi_scalar_precise(basis: SpectralBasis, n: int, x: float) -> float:
     return mode.norm_const * x ** ((1.0 - basis.alpha) / 2.0) * ev.value
 
 
-def _substituted_rule(basis: SpectralBasis, panels: int, nodes: int):
+def _substituted_rule(basis: SpectralBasis, panels: int):
     """Quadrature data in the substituted variable y = x^kappa.
 
     int_0^1 f(x) Phi_n(x) dx
         = (C_n / kappa) int_0^1 f(y^{1/kappa}) J_nu(j_n y) y^{1/(2-a)} dy.
     """
-    y, w = panel_rule(0.0, 1.0, panels, nodes)
+    y, w = panel_rule(0.0, 1.0, panels, DEFAULT_NODES)
     x = y ** (1.0 / basis.kappa)
     common = w * y ** (1.0 / (2.0 - basis.alpha)) / basis.kappa
     return y, x, common
 
 
 def project(basis: SpectralBasis, f, panels: int = DEFAULT_PANELS,
-            nodes: int = DEFAULT_NODES, tol: float = 1e-8) -> MomentVector:
+            tol: float = 1e-8) -> MomentVector:
     """Fourier-Bessel coefficients mu_n = int_0^1 f Phi_n dx.
 
     ``f`` must accept an ndarray of points in [0, 1]. The quadrature error
     is estimated by doubling the panel count; estimates above ``tol``
     raise ``QuadratureError`` rather than passing silently.
     """
-    coarse = _project_once(basis, f, panels, nodes)
-    fine = _project_once(basis, f, 2 * panels, nodes)
+    coarse = _project_once(basis, f, panels)
+    fine = _project_once(basis, f, 2 * panels)
     err = float(np.max(np.abs(fine - coarse)))
     if err > tol:
         raise QuadratureError(
             f"projection quadrature did not converge: estimated error "
-            f"{err:.3e} > tol {tol:.1e} (panels={panels}, nodes={nodes})")
+            f"{err:.3e} > tol {tol:.1e} (panels={panels}, nodes={DEFAULT_NODES})")
     return MomentVector(alpha=basis.alpha, coefficients=fine,
                         basis_id=basis.basis_id)
 
 
-def _project_once(basis, f, panels, nodes) -> np.ndarray:
-    y, x, common = _substituted_rule(basis, panels, nodes)
+def _project_once(basis, f, panels) -> np.ndarray:
+    y, x, common = _substituted_rule(basis, panels)
     fx = np.asarray(f(x), dtype=float) * common
     out = np.empty(basis.n_modes)
     for i, mode in enumerate(basis.modes):
         out[i] = mode.norm_const * np.dot(fx, bessel.bessel_j_many(basis.nu, mode.zero * y))
     return out
-
-
-def state_l2_norm(f, panels: int = DEFAULT_PANELS, nodes: int = DEFAULT_NODES) -> float:
-    """||f||_{L2(0,1)} by direct quadrature in x (f smooth in x)."""
-    x, w = panel_rule(0.0, 1.0, panels, nodes)
-    return float(np.sqrt(np.dot(w, np.asarray(f(x), dtype=float) ** 2)))
 
 
 def neumann_trace_numeric(basis: SpectralBasis, n: int, x_small: float) -> float:
@@ -305,31 +295,27 @@ def source_coefficient(basis: SpectralBasis, n: int) -> float:
     return mode.neumann_trace / mode.eigenvalue
 
 
-def source_coefficient_quadrature(basis: SpectralBasis, n: int,
-                                  panels: int = DEFAULT_PANELS,
-                                  nodes: int = DEFAULT_NODES) -> float:
+def source_coefficient_quadrature(basis: SpectralBasis, n: int) -> float:
     """Independent quadrature of int (1 - x^{1-a}) Phi_n dx.
 
     In the substituted variable the weight is 1 - y^{2 nu}.
     """
-    y, _, common = _substituted_rule(basis, panels, nodes)
+    y, _, common = _substituted_rule(basis, DEFAULT_PANELS)
     mode = basis.modes[n - 1]
     integrand = (1.0 - y ** (2.0 * basis.nu)) * bessel.bessel_j_many(basis.nu, mode.zero * y)
     return mode.norm_const * float(np.dot(common, integrand))
 
 
-def gram_matrix(basis: SpectralBasis, n_max: int | None = None,
-                panels: int = DEFAULT_PANELS, nodes: int = DEFAULT_NODES) -> np.ndarray:
+def gram_matrix(basis: SpectralBasis) -> np.ndarray:
     """Quadrature Gram of the eigenfunctions; identity up to quadrature error.
 
     With two eigenfunctions in the integrand the substituted weight is
     exactly y: Phi_m Phi_n dx = (C_m C_n / kappa) y J(j_m y) J(j_n y) dy.
     """
-    n_max = basis.n_modes if n_max is None else n_max
-    y, w = panel_rule(0.0, 1.0, panels, nodes)
+    y, w = panel_rule(0.0, 1.0, DEFAULT_PANELS, DEFAULT_NODES)
     vals = np.vstack([
-        basis.modes[i].norm_const * bessel.bessel_j_many(basis.nu, basis.modes[i].zero * y)
-        for i in range(n_max)
+        m.norm_const * bessel.bessel_j_many(basis.nu, m.zero * y)
+        for m in basis.modes
     ])
     return (vals * (w * y / basis.kappa)) @ vals.T
 
@@ -356,18 +342,17 @@ class LimitBasis:
         vals = bessel.bessel_j_many(0.0, self.zeros[n - 1] * np.sqrt(x)) / self.jprime[n - 1]
         return float(vals[0]) if scalar else vals
 
-    def project(self, f, panels: int = DEFAULT_PANELS,
-                nodes: int = DEFAULT_NODES) -> np.ndarray:
+    def project(self, f) -> np.ndarray:
         """<f, Phi_n> = (1/|J'_0(j_n)|) int_0^1 2 y f(y^2) J_0(j_n y) dy."""
-        y, w = panel_rule(0.0, 1.0, panels, nodes)
+        y, w = panel_rule(0.0, 1.0, DEFAULT_PANELS, DEFAULT_NODES)
         fy = np.asarray(f(y**2), dtype=float) * 2.0 * y * w
         return np.array([
             np.dot(fy, bessel.bessel_j_many(0.0, j * y)) / jp
             for j, jp in zip(self.zeros, self.jprime)
         ])
 
-    def gram(self, panels: int = DEFAULT_PANELS, nodes: int = DEFAULT_NODES) -> np.ndarray:
-        y, w = panel_rule(0.0, 1.0, panels, nodes)
+    def gram(self) -> np.ndarray:
+        y, w = panel_rule(0.0, 1.0, DEFAULT_PANELS, DEFAULT_NODES)
         vals = np.vstack([
             bessel.bessel_j_many(0.0, j * y) / jp
             for j, jp in zip(self.zeros, self.jprime)

@@ -80,7 +80,8 @@ class TestBuild:
         fam = build_biortho(make_basis(0.0, 5).eigenvalues, 1.0)
         for n in (1, 3):
             direct = quad_integral(lambda t: eval_sigma(fam, n, t) ** 2, fam.T)
-            assert direct == pytest.approx(fam.sigma_norm(n) ** 2, rel=1e-8)
+            norm = fam.sigma_tilde_norm(n) * np.exp(-fam.lambdas[n - 1] * fam.T)
+            assert direct == pytest.approx(norm ** 2, rel=1e-8)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -89,6 +90,11 @@ class TestBuild:
             build_biortho(np.array([-1.0, 2.0]), 1.0)
         with pytest.raises(DomainError):
             build_biortho(np.array([1.0, 2.0]), 0.0)
+        with pytest.raises(DomainError):
+            build_biortho(np.array([1.0, 2.0]), np.inf)
+        for tol in (np.nan, -1.0, 0.0, np.inf):
+            with pytest.raises(DomainError):
+                build_biortho(np.array([1.0, 2.0]), 1.0, tol=tol)
 
     def test_conditioning_error_names_admissible_n(self):
         lam = make_basis(0.0, 16).eigenvalues
@@ -107,11 +113,9 @@ class TestBuild:
         x = _solve_spd(G, b)
         assert np.allclose(G @ x, b, atol=1e-12)
 
-    def test_json_export(self, tmp_path):
+    def test_json_export(self):
         fam = build_biortho(LAPLACE_LAMBDAS[:4], 1.0)
-        path = tmp_path / "biortho.json"
-        fam.save_json(path)
-        data = json.loads(path.read_text())
+        data = json.loads(json.dumps(fam.to_json_dict()))
         assert data["T"] == 1.0
         assert len(data["exponents"]) == 5
         assert data["residual_max"] < 1e-6
@@ -121,8 +125,10 @@ class TestEvalSigma:
     def test_value_at_horizon_is_coefficient_sum(self):
         fam = build_biortho(LAPLACE_LAMBDAS[:4], 1.0)
         for n in (1, 2):
-            assert eval_sigma(fam, n, fam.T) == pytest.approx(
-                float(np.sum(fam.span_coefficients(n))), rel=1e-12)
+            # sigma_n(T) = sum_k c[n][k], span coefficients e^{-lambda_n T} a[n][k]
+            coeff_sum = (np.exp(-fam.lambdas[n - 1] * fam.T)
+                         * np.sum(fam.coeffs_reflected[:, n - 1]))
+            assert eval_sigma(fam, n, fam.T) == pytest.approx(float(coeff_sum), rel=1e-12)
 
     def test_diagonal_replay(self):
         fam = build_biortho(LAPLACE_LAMBDAS[:6], 1.0)

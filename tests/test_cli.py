@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from degctrl import build_biortho, make_basis, resolve_u0, verify
 from degctrl.cli import main
 
 
@@ -60,6 +61,15 @@ class TestVerifyCommand:
         first = (outdir / "verify.json").read_bytes()
         assert run_cli(args) == 0
         assert (outdir / "verify.json").read_bytes() == first
+
+    def test_library_battery_is_the_artifact(self, tmp_path):
+        assert run_cli(["verify", "--alpha", "0.5", "--modes", "8", "--seed", "3",
+                        "--out-dir", str(tmp_path)]) == 0
+        written = json.loads((tmp_path / "verify.json").read_text())["checks"]
+        basis = make_basis(0.5, 8)
+        fam = build_biortho(basis.eigenvalues, 1.0, tol=1e-6)
+        checks = verify(basis, fam, resolve_u0("mode:1", basis), 1e-6, seed=3)
+        assert json.loads(json.dumps(checks)) == written
 
 
 class TestSynthesizeCommand:
@@ -177,7 +187,9 @@ class TestInstalledEntryPoint:
 
 class TestMalformedInput:
     @pytest.mark.parametrize("case", ["mode_index", "mode_beyond_limit_basis",
-                                      "alphas", "config_value", "csv_cell"])
+                                      "alphas", "config_value", "csv_cell",
+                                      "tol_nan", "tol_negative", "horizon_inf",
+                                      "alphas_comma", "alphas_empty"])
     def test_named_usage_error(self, case, tmp_path, capsys):
         (tmp_path / "bad.cfg").write_text("alpha=0.5\nmodes=abc\n")
         (tmp_path / "bad.csv").write_text("0,0\n0.5,abc\n1,0\n")
@@ -189,6 +201,13 @@ class TestMalformedInput:
             "config_value": ["spectrum", "--config", str(tmp_path / "bad.cfg")],
             "csv_cell": ["simulate", "--alpha", "0.5",
                          "--u0", f"csv:{tmp_path / 'bad.csv'}"],
+            "tol_nan": ["synthesize", "--alpha", "0.5", "--u0", "mode:1",
+                        "--tol", "nan"],
+            "tol_negative": ["verify", "--alpha", "0.5", "--tol", "-1"],
+            "horizon_inf": ["simulate", "--alpha", "0.5", "--u0", "mode:1",
+                            "--horizon", "inf"],
+            "alphas_comma": ["cost-sweep", "--alphas", ",", "--u0", "mode:1"],
+            "alphas_empty": ["cost-sweep", "--alphas=", "--u0", "mode:1"],
         }[case]
         assert run_cli(argv + ["--out-dir", str(tmp_path)]) == 2
         assert "usage error" in capsys.readouterr().err
