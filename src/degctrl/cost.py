@@ -150,6 +150,8 @@ def verify(basis: SpectralBasis, fam: BiorthogonalFamily, mu0: MomentVector,
     ``{name, passed, metric}`` entry per check, in ``verify.json`` order.
     ``seed`` draws the min-norm perturbations; mu0 is steered to rest
     for the four ``null_control`` oracles."""
+    if seed < 0:
+        raise UsageError(f"seed must be nonnegative, got {seed}")
     n = basis.n_modes
     T = fam.T
     rng = np.random.default_rng(seed)
@@ -247,6 +249,9 @@ def cost_upper(alpha: float, u0: MomentVector, T: float, n_modes: int,
     if not 0.0 <= alpha < 1.0:
         raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
     _check_state(u0, alpha)
+    if n_modes < _MIN_RETRY_N:
+        raise UsageError(f"cost_upper needs at least {_MIN_RETRY_N} modes, "
+                         f"got {n_modes}")
     if len(u0) < n_modes:
         raise UsageError(f"u0 carries {len(u0)} coefficients, need {n_modes}")
     last_err = None

@@ -261,10 +261,8 @@ def project(basis: SpectralBasis, f, panels: int = DEFAULT_PANELS,
 def _project_once(basis, f, panels) -> np.ndarray:
     y, x, common = _substituted_rule(basis, panels)
     fx = np.asarray(f(x), dtype=float) * common
-    out = np.empty(basis.n_modes)
-    for i, mode in enumerate(basis.modes):
-        out[i] = mode.norm_const * np.dot(fx, bessel.bessel_j_many(basis.nu, mode.zero * y))
-    return out
+    table = bessel.bessel_j_many(basis.nu, basis.zeros[:, None] * y)
+    return basis.norm_consts * (table @ fx)
 
 
 def neumann_trace_numeric(basis: SpectralBasis, n: int, x_small: float) -> float:
@@ -313,10 +311,8 @@ def gram_matrix(basis: SpectralBasis) -> np.ndarray:
     exactly y: Phi_m Phi_n dx = (C_m C_n / kappa) y J(j_m y) J(j_n y) dy.
     """
     y, w = panel_rule(0.0, 1.0, DEFAULT_PANELS, DEFAULT_NODES)
-    vals = np.vstack([
-        m.norm_const * bessel.bessel_j_many(basis.nu, m.zero * y)
-        for m in basis.modes
-    ])
+    vals = (basis.norm_consts[:, None]
+            * bessel.bessel_j_many(basis.nu, basis.zeros[:, None] * y))
     return (vals * (w * y / basis.kappa)) @ vals.T
 
 
@@ -346,17 +342,11 @@ class LimitBasis:
         """<f, Phi_n> = (1/|J'_0(j_n)|) int_0^1 2 y f(y^2) J_0(j_n y) dy."""
         y, w = panel_rule(0.0, 1.0, DEFAULT_PANELS, DEFAULT_NODES)
         fy = np.asarray(f(y**2), dtype=float) * 2.0 * y * w
-        return np.array([
-            np.dot(fy, bessel.bessel_j_many(0.0, j * y)) / jp
-            for j, jp in zip(self.zeros, self.jprime)
-        ])
+        return (bessel.bessel_j_many(0.0, self.zeros[:, None] * y) @ fy) / self.jprime
 
     def gram(self) -> np.ndarray:
         y, w = panel_rule(0.0, 1.0, DEFAULT_PANELS, DEFAULT_NODES)
-        vals = np.vstack([
-            bessel.bessel_j_many(0.0, j * y) / jp
-            for j, jp in zip(self.zeros, self.jprime)
-        ])
+        vals = bessel.bessel_j_many(0.0, self.zeros[:, None] * y) / self.jprime[:, None]
         return (vals * (2.0 * y * w)) @ vals.T
 
 

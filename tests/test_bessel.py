@@ -83,6 +83,23 @@ class TestBesselJ:
             errs = np.abs(bessel_j_many(nu, xs) - scipy.special.jv(nu, xs))
             assert np.max(errs) < 5e-12
 
+    @pytest.mark.parametrize("nu", [0.0, 0.1, 1.0 / 3.0, 0.5, 1.0, 1.5, 2.0])
+    def test_vectorized_matches_series_oracle(self, nu):
+        # float64 series plus Miller recurrence; a float64 series alone
+        # loses ~1e-12 to cancellation near the switchover
+        xs = np.union1d(np.linspace(0.0, SERIES_CUTOFF, 198), [2.0, SERIES_CUTOFF])
+        ref = np.array([bessel_series_oracle(nu, x) for x in xs])
+        assert np.max(np.abs(bessel_j_many(nu, xs) - ref)) <= 2e-15
+
+    def test_vectorized_table_equals_rows(self):
+        # a (modes x nodes) table is evaluated elementwise, row for row
+        table = np.outer([2.4, 5.5, 8.65, 11.8, 14.9], np.linspace(0.0, 1.0, 257))
+        for nu in (0.0, 1.0 / 3.0, 1.5):
+            vals = bessel_j_many(nu, table)
+            assert vals.shape == table.shape
+            rows = np.vstack([bessel_j_many(nu, row) for row in table])
+            assert np.array_equal(vals, rows)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             bessel_j(1.5, 1.0)

@@ -189,7 +189,8 @@ class TestMalformedInput:
     @pytest.mark.parametrize("case", ["mode_index", "mode_beyond_limit_basis",
                                       "alphas", "config_value", "csv_cell",
                                       "tol_nan", "tol_negative", "horizon_inf",
-                                      "alphas_comma", "alphas_empty"])
+                                      "alphas_comma", "alphas_empty",
+                                      "seed_negative"])
     def test_named_usage_error(self, case, tmp_path, capsys):
         (tmp_path / "bad.cfg").write_text("alpha=0.5\nmodes=abc\n")
         (tmp_path / "bad.csv").write_text("0,0\n0.5,abc\n1,0\n")
@@ -208,6 +209,7 @@ class TestMalformedInput:
                             "--horizon", "inf"],
             "alphas_comma": ["cost-sweep", "--alphas", ",", "--u0", "mode:1"],
             "alphas_empty": ["cost-sweep", "--alphas=", "--u0", "mode:1"],
+            "seed_negative": ["verify", "--alpha", "0.5", "--seed", "-1"],
         }[case]
         assert run_cli(argv + ["--out-dir", str(tmp_path)]) == 2
         assert "usage error" in capsys.readouterr().err
@@ -218,6 +220,13 @@ class TestMalformedInput:
                         "--out-dir", str(tmp_path)]) == 2
         assert "usage error" in capsys.readouterr().err
         assert not list(tmp_path.glob("spectrum.*"))
+
+    def test_sweep_below_minimum_modes_writes_nothing(self, tmp_path, capsys):
+        assert run_cli(["cost-sweep", "--alphas", "0.5", "--modes", "2",
+                        "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and "at least 4 modes" in err
+        assert not list(tmp_path.iterdir())
 
 
 class TestSigmaReplay:

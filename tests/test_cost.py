@@ -55,6 +55,11 @@ class TestCostUpper:
         assert up.diagnostics["gram_condition"] < 1e14
         assert up.diagnostics["moment_residual_max"] < 1e-6
 
+    def test_mode_count_below_minimum(self):
+        basis = make_basis(0.5, 2)
+        with pytest.raises(UsageError, match="at least 4 modes"):
+            cost_upper(0.5, unit_moment(basis, 1), 1.0, 2)
+
 
 class TestCostLower:
     def test_zero_initial_state(self):

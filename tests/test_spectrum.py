@@ -8,7 +8,8 @@ from degctrl import bessel
 from degctrl.bessel import bessel_j, bessel_j_prime
 from degctrl.errors import DomainError, UsageError
 from degctrl.quadrature import panel_rule
-from degctrl.spectrum import (GAP_CONSECUTIVE, GAP_FIRST, eval_eigenfunction,
+from degctrl.spectrum import (DEFAULT_NODES, DEFAULT_PANELS, GAP_CONSECUTIVE,
+                              GAP_FIRST, eval_eigenfunction,
                               gram_matrix, make_basis, make_limit_basis,
                               neumann_trace_numeric, project,
                               source_coefficient,
@@ -150,6 +151,20 @@ class TestProjection:
             x, w = panel_rule(0.0, 1.0, 8, 64)
             norm2 = np.dot(w, f(x) ** 2)
             assert np.sum(mu.coefficients**2) <= norm2 * (1.0 + 1e-6)
+
+    def test_table_matches_per_mode_quadrature(self):
+        # project evaluates all modes in one table; the same rule summed
+        # mode by mode must give the same coefficients
+        f = lambda x: x * (1.0 - x)
+        for alpha in (0.0, 0.5, 0.9):
+            basis = make_basis(alpha, 8)
+            y, w = panel_rule(0.0, 1.0, 2 * DEFAULT_PANELS, DEFAULT_NODES)
+            fx = (f(y ** (1.0 / basis.kappa)) * w
+                  * y ** (1.0 / (2.0 - alpha)) / basis.kappa)
+            expect = [m.norm_const
+                      * np.dot(fx, bessel.bessel_j_many(basis.nu, m.zero * y))
+                      for m in basis.modes]
+            assert np.max(np.abs(project(basis, f).coefficients - expect)) <= 1e-15
 
     def test_gram_identity(self):
         for alpha in ALPHA_GRID:

@@ -67,6 +67,9 @@ CONFIGS = {
                                    "--horizon", "inf"],
     "error_sweep_alphas_comma": ["cost-sweep", "--alphas", ",", "--u0", "mode:1"],
     "error_sweep_alphas_empty": ["cost-sweep", "--alphas=", "--u0", "mode:1"],
+    "error_verify_seed_negative": ["verify", "--alpha", "0.5", "--seed", "-1"],
+    "error_sweep_modes_below_minimum": ["cost-sweep", "--alphas", "0.5",
+                                        "--modes", "2"],
 }
 
 
