@@ -218,7 +218,7 @@ def bessel_j_prime(nu: float, x: float) -> float:
 
 
 def bessel_j_many(nu: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized J_nu over a nonnegative array of any shape, in float64.
+    """Vectorized J_nu over a finite nonnegative array of any shape, in float64.
 
     Quadrature path: the ascending series for x <= ``_MILLER_FROM``,
     Miller's downward recurrence up to ``SERIES_CUTOFF`` and Hankel's
@@ -230,8 +230,8 @@ def bessel_j_many(nu: float, x: np.ndarray) -> np.ndarray:
     if not 0.0 <= nu <= _MAX_ORDER:
         raise DomainError(f"order must lie in [0, {_MAX_ORDER}], got {nu}")
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise DomainError("arguments must be nonnegative")
+    if not np.all((x >= 0.0) & (x < np.inf)):
+        raise DomainError("arguments must be finite and nonnegative")
     out = np.empty_like(x)
 
     low = x <= _MILLER_FROM

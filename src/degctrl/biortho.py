@@ -33,9 +33,9 @@ links the two scales; the stored residual matrix is the reflected one,
 R[n][m] = int tilde_sigma_n e^{-lambda_m s} ds - delta_nm, whose entries
 all live at the terminal-state scale and are the quantities that actually
 bound the damage a family defect can do to a controlled trajectory.
-Residuals are recomputed by independent composite Gauss-Legendre
-quadrature (extended-precision accumulation), never from the closed-form
-Gram identities used in assembly.
+Residuals are recomputed by independent quadrature on the 32 x 32 Gauss
+rule (factored, long double throughout; see ``_quadrature_gram``), never
+from the closed-form Gram identities used in assembly.
 
 Norms satisfy ||sigma_n|| e^{lambda_n T} = ||tilde_sigma_n|| = sqrt(a[n][n]),
 so the growth profile B_T e^{K sqrt(lambda_n)} of the family can be fitted
@@ -49,12 +49,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AccuracyError, ConditioningError, DomainError, UsageError
-from .quadrature import panel_rule
 
 CONDITION_LIMIT = 1e14
 DEFAULT_TOL = 1e-6
 
 _LD = np.longdouble
+
+# 32-point Gauss-Legendre rule on [-1, 1]; the certificate uses it on 32 panels
+_XG, _WG = (v.astype(_LD) for v in np.polynomial.legendre.leggauss(32))
 
 
 def exponential_gram(lambdas_full: np.ndarray, T: float,
@@ -64,20 +66,18 @@ def exponential_gram(lambdas_full: np.ndarray, T: float,
     lam = np.asarray(lambdas_full, dtype=float)
     mu = lam if other is None else np.asarray(other, dtype=float)
     L = lam[:, None] + mu[None, :]
-    out = np.empty_like(L)
-    zero = L == 0.0
-    out[zero] = T
-    nz = ~zero
+    out = np.full_like(L, T)
+    nz = L != 0.0
     out[nz] = (1.0 - np.exp(-L[nz] * T)) / L[nz]
     return out
 
 
-def _largest_admissible_n(lambdas: np.ndarray, T: float) -> int:
-    """Largest N whose (N+1)-point Gram stays under the condition gate."""
+def _largest_admissible_n(G: np.ndarray) -> int:
+    """Largest N whose (N+1)-point Gram stays under the condition gate; the
+    Gram of a prefix is the leading block of the full Gram ``G``."""
     best = 0
-    for n in range(1, len(lambdas) + 1):
-        lams_full = np.concatenate([[0.0], lambdas[:n]])
-        if np.linalg.cond(exponential_gram(lams_full, T)) <= CONDITION_LIMIT:
+    for n in range(1, len(G)):
+        if np.linalg.cond(G[:n + 1, :n + 1]) <= CONDITION_LIMIT:
             best = n
         else:
             break
@@ -92,8 +92,7 @@ def _solve_spd(G: np.ndarray, B: np.ndarray) -> np.ndarray:
     Bs = B * d[:, None]
     try:
         L = np.linalg.cholesky(Gs)
-        Y = np.linalg.solve(L, Bs)
-        X = np.linalg.solve(L.T, Y)
+        X = np.linalg.solve(L.T, np.linalg.solve(L, Bs))
         # one refinement step, residual accumulated in 80-bit
         R = (Bs.astype(_LD) - Gs.astype(_LD) @ X.astype(_LD)).astype(float)
         X = X + np.linalg.solve(L.T, np.linalg.solve(L, R))
@@ -104,16 +103,18 @@ def _solve_spd(G: np.ndarray, B: np.ndarray) -> np.ndarray:
     return X * d[:, None]
 
 
-def _quadrature_gram(lambdas_full: np.ndarray, T: float,
-                     panels: int = 32, nodes: int = 32) -> np.ndarray:
-    """Independent quadrature of the exponential Gram, 80-bit accumulation.
-
-    M[j][k] ~ int_0^T e^{-(lambda_j + lambda_k) s} ds, computed from point
-    values so it shares nothing with the closed-form assembly.
+def _quadrature_gram(lambdas_full: np.ndarray, T: float) -> np.ndarray:
+    """M[j][k] ~ int_0^T e^{-(lambda_j + lambda_k) s} ds on the 32 x 32 rule
+    from long-double point values, sharing nothing with the closed form.
+    A node is s = i h + (1 + x_q) h/2 with h = T/32, so the rule's sum is
+    (P P^T) o (Q W Q^T) with P[k, i] = e^{-lambda_k i h}, W = diag(w_q h/2),
+    Q[k, q] = e^{-lambda_k (1 + x_q) h/2}: 64 exponentials a row, not 1024.
     """
-    s, w = panel_rule(0.0, T, panels, nodes)
-    E = np.exp(-np.asarray(lambdas_full, dtype=_LD)[:, None] * s.astype(_LD))
-    return (E * w.astype(_LD)) @ E.T
+    h = _LD(T) / 32
+    lam = np.asarray(lambdas_full, dtype=_LD)[:, None]
+    P = np.exp(-lam * (h * np.arange(32, dtype=_LD)))
+    Q = np.exp(-lam * (h / 2 * (_XG + 1)))
+    return (P @ P.T) * ((Q * (h / 2 * _WG)) @ Q.T)
 
 
 @dataclass(frozen=True)
@@ -218,13 +219,12 @@ def build_biortho(lambdas, T: float, tol: float = DEFAULT_TOL) -> BiorthogonalFa
     G = exponential_gram(lams_full, T)
     cond = float(np.linalg.cond(G))
     if cond > CONDITION_LIMIT:
-        n_ok = _largest_admissible_n(lam, T)
+        n_ok = _largest_admissible_n(G)
         raise ConditioningError(
             f"Gram condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e} for "
             f"N={n}, T={T}; largest admissible N for this horizon is {n_ok}",
             condition=cond, largest_admissible_n=n_ok)
-    B = np.zeros((n + 1, n))
-    B[1:, :] = np.eye(n)
+    B = np.eye(n + 1, n, k=-1)
     A = _solve_spd(G, B)
 
     M = _quadrature_gram(lams_full, T)

@@ -207,7 +207,7 @@ def eval_eigenfunction(basis: SpectralBasis, n: int, x) -> float | np.ndarray:
     mode = basis.modes[n - 1]
     scalar = np.isscalar(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any((x < 0.0) | (x > 1.0)):
+    if not np.all((x >= 0.0) & (x <= 1.0)):
         raise DomainError("eigenfunctions are defined on [0, 1]")
     vals = np.zeros_like(x)
     pos = x > 0.0

@@ -106,6 +106,12 @@ class TestBesselJ:
         with pytest.raises(DomainError):
             bessel_j(0.5, -1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_vectorized_rejects_non_finite(self, bad):
+        # NaN fails every comparison, so a bare x < 0 check lets it through
+        with pytest.raises(DomainError):
+            bessel_j_many(0.5, np.array([1.0, bad]))
+
 
 class TestBesselJPrime:
     def test_half_order_at_pi(self):

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from degctrl.biortho import (_solve_spd, bound_profile, build_biortho,
-                             eval_sigma, exponential_gram)
+from degctrl.biortho import (CONDITION_LIMIT, _largest_admissible_n,
+                             _quadrature_gram, _solve_spd, bound_profile,
+                             build_biortho, eval_sigma, exponential_gram)
 from degctrl.errors import (AccuracyError, ConditioningError, DomainError,
                             UsageError)
 from degctrl.quadrature import panel_rule
@@ -40,6 +41,41 @@ class TestGram:
             for j, mj in enumerate(mu):
                 ref = quad_integral(lambda t: np.exp((lk + mj) * (t - T)), T)
                 assert abs(cross[k, j] - ref) < 1e-14
+
+
+def unfactored_quadrature_gram(lambdas_full, T):
+    """The certificate's 32 x 32 Gauss rule summed node by node in long
+    double: all 1024 exponentials per exponent, no factoring."""
+    s, w = panel_rule(0.0, T, 32, 32)
+    E = np.exp(-np.asarray(lambdas_full, dtype=np.longdouble)[:, None]
+               * s.astype(np.longdouble))
+    return (E * w.astype(np.longdouble)) @ E.T
+
+
+class TestQuadratureGram:
+    # T = 0.7 is not dyadic: its nodes i h + (1 + x_q) h/2 round differently
+    # in the factored and the node-by-node evaluation
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("T", [0.5, 0.7, 1.0, 2.0])
+    def test_factored_matches_node_by_node(self, alpha, T):
+        lams_full = np.concatenate([[0.0], make_basis(alpha, 16).eigenvalues])
+        M = _quadrature_gram(lams_full, T)
+        ref = unfactored_quadrature_gram(lams_full, T)
+        assert M.dtype == np.longdouble
+        assert np.max(np.abs(M - ref) / np.abs(ref)) <= 1e-16
+
+    def test_prefix_grams_are_leading_blocks(self):
+        # the admissibility scan conditions slices of the full Gram; each is
+        # the prefix's own Gram bit for bit
+        lams_full = np.concatenate([[0.0], make_basis(0.5, 16).eigenvalues])
+        G = exponential_gram(lams_full, 0.7)
+        best = 0
+        for n in range(1, 17):
+            prefix = exponential_gram(lams_full[:n + 1], 0.7)
+            assert np.array_equal(prefix, G[:n + 1, :n + 1])
+            if best == n - 1 and np.linalg.cond(prefix) <= CONDITION_LIMIT:
+                best = n
+        assert _largest_admissible_n(G) == best < 16
 
 
 class TestBuild:

@@ -86,6 +86,11 @@ class TestEigenfunctions:
                 assert eval_eigenfunction(basis, n, 0.0) == 0.0
                 assert abs(eval_eigenfunction(basis, n, 1.0)) < 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, [0.5, np.nan], -0.1, 1.1])
+    def test_outside_unit_interval(self, bad):
+        with pytest.raises(DomainError):
+            eval_eigenfunction(make_basis(0.5, 4), 1, bad)
+
     def test_frozen_value_alpha_half(self):
         # series-oracle evaluation of C x^{1/4} J_{1/3}(j x^{3/4}) at x = 1/2
         basis = make_basis(0.5, 1)

@@ -33,6 +33,9 @@ CONFIGS = {
     "biortho_a05_n8": ["biortho", "--alpha", "0.5", "--modes", "8"],
     "biortho_a09_n10_t2": ["biortho", "--alpha", "0.9", "--modes", "10",
                            "--horizon", "2"],
+    # T = 0.7: the certificate's nodes are inexact, N = 11 near the ceiling
+    "biortho_a05_n11_t07": ["biortho", "--alpha", "0.5", "--modes", "11",
+                            "--horizon", "0.7"],
     "synthesize_a05_bump": ["synthesize", "--alpha", "0.5", "--modes", "8",
                             "--u0", "poly:x(1-x)"],
     "synthesize_a05_target": ["synthesize", "--alpha", "0.5", "--modes", "6",
