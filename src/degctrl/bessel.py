@@ -3,10 +3,10 @@
 Everything downstream (spectra, Neumann traces, controllability bounds)
 rests on three primitives kept deliberately self-contained here:
 
-* ``bessel_j``     -- J_nu(x) by the ascending power series below a fixed
-                      switchover and by the cosine-type (Hankel) asymptotic
-                      expansion above it, with a certified truncation-error
-                      estimate attached to every value;
+* ``bessel_j``     -- J_nu(x) by the ascending power series and Miller's
+                      recurrence below a fixed switchover and by the
+                      cosine-type (Hankel) asymptotic expansion above it,
+                      with a certified error estimate attached to every value;
 * ``bessel_j_prime`` -- J'_nu(x) through the downward recurrence
                       J_{nu+1}(x) = (nu/x) J_nu(x) - J'_nu(x);
 * ``bessel_zero``  -- the n-th positive zero j_{nu,n}, located by Newton
@@ -15,16 +15,16 @@ rests on three primitives kept deliberately self-contained here:
                       pi (n + nu/2 - 1/4) <= j_{nu,n} <= pi (n + nu/4 - 1/8),
                       valid for nu in [0, 1/2].
 
-These scalar evaluators are the certified path. They sum the power series
-with 80-bit extended-precision accumulation, so values stay accurate to
-~1e-15 absolute through the switchover; this is what lets zero residuals
-|J_nu(j)| < 1e-12 be met near x ~ 12, where the series summed in double
-loses ~1e-12 to cancellation, in the rounding of its ~1e4-sized terms.
-
-``bessel_j_many`` is the vectorized quadrature path and uses only float64:
-the series where cancellation is mild (x <= 2), Miller's downward recurrence
-on (2, 12.6] and the Hankel expansion above. Against 40-digit mpmath its
-absolute error on [0, 12.6] is at most 5.6e-16 for orders 0 to 2.
+These scalar evaluators are the certified path. Like ``bessel_j_many``,
+the vectorized quadrature path, they use only float64: the series where
+cancellation is mild (x <= 2), Miller's downward recurrence on (2, 12.6],
+where the series summed in double would lose ~1e-12 to cancellation in the
+rounding of its ~1e4-sized terms, and the Hankel expansion above. Both
+paths run the same recurrence and agree there bit for bit. Against
+40-digit mpmath the absolute error on [0, 12.6] measured at most 1.3e-15
+for orders 0 to 2, which lets zero residuals |J_nu(j)| < 1e-12 be met near
+x ~ 12; below the switchover each certificate bounds float64 rounding as
+well as truncation.
 """
 
 from __future__ import annotations
@@ -38,11 +38,10 @@ from .errors import ConvergenceError, DomainError
 
 # Series/asymptotic switchover. Above this point the optimally truncated
 # Hankel expansion has error below ~4e-13 (first omitted term ~ e^{-2x});
-# below it the extended-precision series of the scalar path, and the
-# float64 series-plus-Miller evaluation of the vectorized path, are exact
-# to ~1e-15. A lower switchover would leave a window around x ~ 12 where
-# the asymptotic truncation floor exceeds the 1e-12 zero-certification
-# tolerance.
+# below it the float64 series-plus-Miller evaluation that the scalar and
+# the vectorized path share is exact to ~1e-15. A lower switchover would
+# leave a window around x ~ 12 where the asymptotic truncation floor
+# exceeds the 1e-12 zero-certification tolerance.
 SERIES_CUTOFF = 12.6
 
 # The vectorized path sums the series in float64 only up to here, where
@@ -52,11 +51,15 @@ SERIES_CUTOFF = 12.6
 _MILLER_FROM = 2.0
 _MILLER_START = 40
 
+# A-priori rounding bound of the scalar path below SERIES_CUTOFF, in ulps
+# of the magnitude it works at: up to 12 from the Lanczos sum of gamma_fn,
+# one per step of Miller's recurrence and a few for the scaling.
+_EPS = np.finfo(float).eps
+_ROUNDING_ULPS = 64
+
 # Largest supported order. Public entry points accept nu in [0, 1];
 # the derivative recurrence needs J_{nu+1}, hence the internal slack.
 _MAX_ORDER = 2.0
-
-_LD = np.longdouble
 
 # Lanczos coefficients, g = 7, 9 terms.
 _LANCZOS_G = 7.0
@@ -82,26 +85,30 @@ def gamma_fn(x: float) -> float:
     x = float(x)
     if not x > 0.0:
         raise DomainError(f"gamma_fn requires a positive argument, got {x}")
+    if x > 171.7:
+        return math.inf  # beyond float64 from 171.62 on
     if x < 0.5:
         # Gamma(x) Gamma(1-x) = pi / sin(pi x)
         return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = _LD(x) - 1.0
-    acc = _LD(_LANCZOS_C[0])
+    z = x - 1.0
+    acc = _LANCZOS_C[0]
     for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        acc += _LD(c) / (z + i)
-    t = z + _LD(_LANCZOS_G) + 0.5
-    val = np.sqrt(2 * _LD(np.pi)) * t ** (z + 0.5) * np.exp(-t) * acc
-    return float(val)
+        acc += c / (z + i)
+    t = z + _LANCZOS_G + 0.5
+    # two half powers: t^(z+1/2) alone would overflow from x ~ 143 on
+    half = t ** ((z + 0.5) / 2.0)
+    return math.sqrt(2.0 * math.pi) * half * math.exp(-t) * half * acc
 
 
 @dataclass(frozen=True)
 class BesselEval:
-    """One evaluation of J_nu(x) with its truncation-error certificate.
+    """One evaluation of J_nu(x) with its error certificate.
 
-    ``est_error`` bounds the truncation error of the chosen expansion:
-    the first-omitted-term bound for the alternating power series (terms
-    are checked to be decreasing before truncation) and for the
-    asymptotic expansion (truncated at its smallest term).
+    ``est_error`` bounds the truncation error of the chosen expansion (the
+    first omitted term of the alternating power series, whose terms do not
+    increase for x <= 2, or of the asymptotic expansion, truncated at its
+    smallest term; Miller's is below 3e-31 relative). Below the switchover
+    it adds an a-priori float64 rounding bound (``_series_eval``).
     """
 
     order: float
@@ -113,34 +120,32 @@ class BesselEval:
 
 
 def _series_eval(nu: float, x: float):
-    """Ascending series in 80-bit accumulation.
+    """J_nu on [0, SERIES_CUTOFF] in float64: (value, term_count, est_error).
 
-    Returns (value, term_count, est_error). Terms are generated by the
-    ratio recurrence t_{m+1} = -t_m (x/2)^2 / ((m+1)(m+nu+1)), so no large
-    Gamma values are ever formed.
+    The ascending series up to ``_MILLER_FROM``, its terms generated by the
+    ratio t_{m+1} = -t_m (x/2)^2 / ((m+1)(m+nu+1)) so that no large Gamma
+    values are formed, and Miller's recurrence above. est_error adds
+    ``_ROUNDING_ULPS`` ulps of sum |t_m|, or of Miller's normalisation
+    (x/2)^nu / Gamma(nu+1) >= |J_nu(x)|, to the truncation term.
     """
     if x == 0.0:
         return (1.0 if nu == 0.0 else 0.0), 1, 0.0
-    xl = _LD(x)
-    nul = _LD(nu)
-    q = (xl / 2) ** 2
-    term = (xl / 2) ** nul / _LD(gamma_fn(nu + 1.0))
-    total = term
+    if x > _MILLER_FROM:
+        lead, value = _miller(nu, x)
+        return float(value), _MILLER_START, _ROUNDING_ULPS * _EPS * float(lead)
+    q = (x / 2.0) ** 2
+    term = total = size = (x / 2.0) ** nu / gamma_fn(nu + 1.0)
     m = 0
-    est = abs(float(term))
-    while m < 200:
-        nxt = -term * q / ((m + 1) * (m + nul + 1))
-        # once terms decrease, the alternating remainder is bounded by the
-        # first omitted term
-        if abs(nxt) < abs(term) and abs(nxt) < 1e-18 * max(1.0, abs(float(total))):
-            est = abs(float(nxt))
-            break
+    while True:
+        nxt = -term * q / ((m + 1) * (m + nu + 1))
+        # terms do not increase for x <= 2, so the alternating remainder
+        # is bounded by the first omitted term
+        if abs(nxt) < 1e-18 * max(1.0, abs(total)):
+            return total, m + 1, abs(nxt) + _ROUNDING_ULPS * _EPS * size
         term = nxt
         total += term
+        size += abs(term)
         m += 1
-    else:
-        raise ConvergenceError(f"J_{nu}({x}): series did not settle in 200 terms")
-    return float(total), m + 1, est
 
 
 def _asymptotic_eval(nu: float, x: float):
@@ -152,39 +157,31 @@ def _asymptotic_eval(nu: float, x: float):
     mu = 4.0 * nu * nu
     pref = math.sqrt(2.0 / (math.pi * x))
     omega = x - nu * math.pi / 2.0 - math.pi / 4.0
-    p_sum = 1.0  # a_0 / x^0
-    q_sum = 0.0
-    a = 1.0      # a_m, recurrence below
-    u_prev = 1.0
-    m = 0
-    est = pref * abs(u_prev)
-    count = 1
-    while m < 60:
-        m += 1
-        a *= (mu - (2 * m - 1) ** 2) / (8.0 * m)
-        u = a / x**m
-        if abs(u) >= abs(u_prev) or abs(u) < 1e-18:
-            est = pref * abs(u)
+    # P = u_0 - u_2 + u_4 - ..., Q = u_1 - u_3 + ..., with
+    # u_m = u_{m-1} (mu - (2m-1)^2) / (8 m x); u carries the sign
+    # (-1)^floor(m/2) with which u_m enters its sum
+    p_sum, q_sum, u = 1.0, 0.0, 1.0
+    for m in range(1, 61):
+        nxt = u * (mu - (2 * m - 1) ** 2) / (8.0 * m * x)
+        if abs(nxt) >= abs(u) or abs(nxt) < 1e-18:
             break
-        if m % 2 == 0:
-            p_sum += (-1.0) ** (m // 2) * u
+        if m % 2:
+            q_sum += nxt
         else:
-            q_sum += (-1.0) ** ((m - 1) // 2) * u
-        u_prev = u
-        count += 1
+            nxt = -nxt
+            p_sum += nxt
+        u = nxt
     value = pref * (p_sum * math.cos(omega) - q_sum * math.sin(omega))
-    return value, count, est
+    return value, m, pref * abs(nxt)
 
 
 def _eval_any_order(nu: float, x: float):
-    """(value, method, terms, est) without the public order restriction."""
-    if x < 0.0:
-        raise DomainError(f"J_nu needs x >= 0, got {x}")
+    """(value, terms, est, method) without the public order restriction."""
+    if not 0.0 <= x < math.inf:
+        raise DomainError("arguments must be finite and nonnegative")
     if x <= SERIES_CUTOFF:
-        value, count, est = _series_eval(nu, x)
-        return value, "series", count, est
-    value, count, est = _asymptotic_eval(nu, x)
-    return value, "asymptotic", count, est
+        return (*_series_eval(nu, x), "series")
+    return (*_asymptotic_eval(nu, x), "asymptotic")
 
 
 def bessel_j(nu: float, x: float) -> BesselEval:
@@ -197,7 +194,7 @@ def bessel_j(nu: float, x: float) -> BesselEval:
     x = float(x)
     if not 0.0 <= nu <= 1.0:
         raise DomainError(f"order must lie in [0, 1], got {nu}")
-    value, method, count, est = _eval_any_order(nu, x)
+    value, count, est, method = _eval_any_order(nu, x)
     return BesselEval(order=nu, argument=x, value=value, method=method,
                       term_count=count, est_error=est)
 
@@ -212,9 +209,7 @@ def bessel_j_prime(nu: float, x: float) -> float:
         raise DomainError("bessel_j_prime requires x > 0; the one-sided "
                           "derivative at the degeneracy is handled in the "
                           "spectrum module")
-    jn, _, _, _ = _eval_any_order(nu, x)
-    jn1, _, _, _ = _eval_any_order(nu + 1.0, x)
-    return (nu / x) * jn - jn1
+    return (nu / x) * _eval_any_order(nu, x)[0] - _eval_any_order(nu + 1.0, x)[0]
 
 
 def bessel_j_many(nu: float, x: np.ndarray) -> np.ndarray:
@@ -248,7 +243,7 @@ def bessel_j_many(nu: float, x: np.ndarray) -> np.ndarray:
 
     mid = ~low & (x <= SERIES_CUTOFF)
     if np.any(mid):
-        out[mid] = _miller(nu, x[mid])
+        out[mid] = _miller(nu, x[mid])[1]
 
     high = ~(low | mid)
     if np.any(high):
@@ -277,7 +272,7 @@ def bessel_j_many(nu: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _miller(nu: float, x: np.ndarray) -> np.ndarray:
+def _miller(nu: float, x):
     """J_nu on (2, SERIES_CUTOFF] by Miller's algorithm (Gautschi 1967).
 
     f_{k-1} = (2(nu+k)/x) f_k - f_{k+1}, run down from f_{K+1} = 0,
@@ -288,18 +283,22 @@ def _miller(nu: float, x: np.ndarray) -> np.ndarray:
     with h_1 = 1, h_{k+1} = h_k (nu+k)/(k+1). The recurrence is stable in
     this direction, so float64 stays within 6e-16 where the series would
     lose ~1e-12 to cancellation.
+
+    Plain arithmetic serves a float and an ndarray alike, and ``np.power``
+    rounds a scalar as it rounds an array element, so the scalar and the
+    vectorized path agree bit for bit. Returns (lead, J_nu) with the
+    leading series term lead = (x/2)^nu / Gamma(nu+1).
     """
     h = [0.0, 1.0]
     for k in range(1, _MILLER_START // 2):
         h.append(h[k] * (nu + k) / (k + 1))
-    f_next = np.zeros_like(x)
-    f = np.ones_like(x)
-    norm = np.zeros_like(x)
+    f_next, f, norm = 0.0, 1.0, 0.0
     for k in range(_MILLER_START, 0, -1):
         if k % 2 == 0:
-            norm += (nu + k) * h[k // 2] * f
+            norm = norm + (nu + k) * h[k // 2] * f
         f, f_next = (2.0 * (nu + k) / x) * f - f_next, f
-    return (x / 2.0) ** nu / gamma_fn(nu + 1.0) * f / (f + norm)
+    lead = np.power(x / 2.0, nu) / gamma_fn(nu + 1.0)
+    return lead, lead * f / (f + norm)
 
 
 @dataclass(frozen=True)
@@ -371,29 +370,25 @@ def bessel_zero(nu: float, n: int) -> ZeroRecord:
     lo, hi = lorch_muldoon_bracket(nu, n)
     x = min(max(mcmahon_guess(nu, n), lo), hi)
     iters = 0
-    best_x, best_f = x, abs(_eval_any_order(nu, x)[0])
+    f = _eval_any_order(nu, x)[0]
+    best_x, best_f = x, abs(f)
     converged = best_f < 1e-15
     while not converged and iters < 50:
-        f = _eval_any_order(nu, x)[0]
-        if abs(f) < best_f:
-            best_x, best_f = x, abs(f)
         fp = (nu / x) * f - _eval_any_order(nu + 1.0, x)[0]
         if fp == 0.0:
             break
         step = f / fp
         x = x - step
         iters += 1
-        if not (lo - _BRACKET_SLACK <= x <= hi + _BRACKET_SLACK):
+        escaped = not (lo - _BRACKET_SLACK <= x <= hi + _BRACKET_SLACK)
+        if escaped:
             x = _bisect_zero(nu, lo - _BRACKET_SLACK, hi + _BRACKET_SLACK)
-            f = _eval_any_order(nu, x)[0]
-            if abs(f) < best_f:
-                best_x, best_f = x, abs(f)
-            break
         f = _eval_any_order(nu, x)[0]
         if abs(f) < best_f:
             best_x, best_f = x, abs(f)
-        # polish to the evaluator noise floor, then stop on stalled steps
-        converged = best_f < 1e-15 or abs(step) < 4.0 * np.finfo(float).eps * x
+        # polish to the evaluator noise floor, then stop on stalled steps;
+        # a bisection result is final
+        converged = escaped or best_f < 1e-15 or abs(step) < 4.0 * _EPS * x
     if best_f >= ZERO_TOL:
         raise ConvergenceError(
             f"zero j_({nu},{n}) stalled at {best_x} with residual "

@@ -333,8 +333,12 @@ class LimitBasis:
         return len(self.zeros)
 
     def eval(self, n: int, x) -> float | np.ndarray:
+        if not 1 <= n <= self.n_modes:
+            raise UsageError(f"mode index {n} outside 1..{self.n_modes}")
         scalar = np.isscalar(x)
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        if not np.all((x >= 0.0) & (x <= 1.0)):
+            raise DomainError("eigenfunctions are defined on [0, 1]")
         vals = bessel.bessel_j_many(0.0, self.zeros[n - 1] * np.sqrt(x)) / self.jprime[n - 1]
         return float(vals[0]) if scalar else vals
 

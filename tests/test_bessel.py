@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -10,6 +11,13 @@ from degctrl.bessel import (SERIES_CUTOFF, bessel_j, bessel_j_many,
 from degctrl.errors import DomainError
 
 from conftest import bessel_series_oracle, bessel_zero_oracle
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_grid(nu):
+    """200 points of [0, SERIES_CUTOFF], with 2 and the cutoff, and oracle values."""
+    xs = np.union1d(np.linspace(0.0, SERIES_CUTOFF, 198), [2.0, SERIES_CUTOFF])
+    return xs, [bessel_series_oracle(nu, x) for x in xs]
 
 
 class TestGamma:
@@ -28,6 +36,14 @@ class TestGamma:
     def test_reflection_region(self):
         for x in (0.05, 0.2, 0.49):
             assert gamma_fn(x) == pytest.approx(math.gamma(x), rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_arguments(self):
+        # finite up to the float64 overflow at 171.62, inf beyond it
+        for x in (150.0, 171.5):
+            assert gamma_fn(x) == pytest.approx(math.gamma(x), rel=1e-12)
+        for x in (172.0, 1e6, math.inf):
+            assert gamma_fn(x) == math.inf
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -112,6 +128,34 @@ class TestBesselJ:
         with pytest.raises(DomainError):
             bessel_j_many(0.5, np.array([1.0, bad]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_scalar_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            bessel_j(0.5, bad)
+
+    @pytest.mark.parametrize("nu", [0.0, 1.0 / 3.0, 0.5, 1.0])
+    def test_scalar_equals_vectorized_on_miller_range(self, nu):
+        # both paths run the same float64 Miller recurrence on (2, 12.6]
+        xs = np.union1d(np.linspace(2.0, SERIES_CUTOFF, 200)[1:],
+                        [2.0 + 1e-12, 2.4048255576957728, 12.6 - 1e-12])
+        vec = bessel_j_many(nu, xs)
+        for x, v in zip(xs, vec):
+            assert bessel_j(nu, x).value == v
+
+    @pytest.mark.parametrize("nu", [0.0, 0.1, 1.0 / 3.0, 0.5, 1.0])
+    def test_scalar_matches_series_oracle(self, nu):
+        xs, ref = oracle_grid(nu)
+        errs = [abs(bessel_j(nu, x).value - r) for x, r in zip(xs, ref)]
+        assert max(errs) <= 2e-15
+
+    @pytest.mark.parametrize("nu", [0.0, 0.1, 1.0 / 3.0, 0.5, 1.0])
+    def test_est_error_covers_rounding(self, nu):
+        # the certificate alone, without headroom, bounds the actual error
+        xs, ref = oracle_grid(nu)
+        for x, r in zip(xs, ref):
+            ev = bessel_j(nu, x)
+            assert abs(ev.value - r) <= ev.est_error <= 1e-13
+
 
 class TestBesselJPrime:
     def test_half_order_at_pi(self):
@@ -140,6 +184,10 @@ class TestBesselJPrime:
     def test_domain(self):
         with pytest.raises(DomainError):
             bessel_j_prime(0.5, 0.0)
+
+    def test_rejects_infinite_argument(self):
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            bessel_j_prime(0.5, np.inf)
 
 
 class TestZeros:

@@ -252,6 +252,19 @@ class TestLimitBasis:
             prev_zero_gap, prev_proj_gap = zero_gap, proj_gap
         assert prev_proj_gap < 2e-4
 
+    @pytest.mark.parametrize("n", [0, -1, 4])
+    def test_eval_mode_index_out_of_range(self, n):
+        # a bare zeros[n - 1] would wrap round to the last modes
+        with pytest.raises(UsageError):
+            make_limit_basis(3).eval(n, 0.5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, np.nan, [0.5, -0.1]])
+    def test_eval_outside_unit_interval(self, bad):
+        # rejected before sqrt can warn about a negative argument
+        with pytest.raises(DomainError):
+            make_limit_basis(3).eval(1, bad)
+
 
 class TestMomentVector:
     def test_unit_moment(self):
