@@ -253,12 +253,10 @@ def bessel_j_many(nu: float, x: np.ndarray) -> np.ndarray:
         omega = xh - nu * np.pi / 2.0 - np.pi / 4.0
         p_sum = np.ones_like(xh)
         q_sum = np.zeros_like(xh)
-        a = 1.0
         u_prev = np.ones_like(xh)
         alive = np.ones(xh.shape, dtype=bool)
         for m in range(1, 40):
-            a *= (mu - (2 * m - 1) ** 2) / (8.0 * m)
-            u = a / xh**m
+            u = u_prev * (mu - (2 * m - 1) ** 2) / (8.0 * m * xh)
             alive &= np.abs(u) < np.abs(u_prev)
             if not np.any(alive):
                 break
