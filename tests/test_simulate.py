@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -177,10 +179,7 @@ class TestIntegratorIndependence:
 
     @staticmethod
     def bump_control(alpha):
-        basis = make_basis(alpha, 8)
-        fam = build_biortho(basis.eigenvalues, 1.0)
-        mu0 = project(basis, lambda x: x * (1.0 - x))
-        return basis, mu0, synthesize(basis, fam, mu0, zero_target(basis))
+        return bump_to_rest(alpha, 8, 1.0)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
     def test_oracle_deviation_follows_grid(self, alpha):
@@ -199,6 +198,56 @@ class TestIntegratorIndependence:
         c = mu0.coefficients
         ref = per_step_integrator(basis, sig, c, t)
         assert np.max(np.abs(_integrator_modes(basis, sig, c, t) - ref)) <= 1e-13
+
+
+def bump_to_rest(alpha, n_modes, T):
+    basis = make_basis(alpha, n_modes)
+    fam = build_biortho(basis.eigenvalues, T)
+    mu0 = project(basis, lambda x: x * (1.0 - x))
+    return basis, mu0, synthesize(basis, fam, mu0, zero_target(basis))
+
+
+class TestClosedFormKernel:
+    @pytest.mark.parametrize("alpha,n_modes,T", [(0.5, 11, 1.0), (0.2, 8, 0.5),
+                                                 (0.9, 8, 1.0)])
+    def test_matches_mpmath_duhamel_sum(self, alpha, n_modes, T):
+        # the same weights, exponents and traces, summed in 50 digits
+        basis, mu0, sig = bump_to_rest(alpha, n_modes, T)
+        traj = evolve(basis, mu0, sig)
+        with mp.workdps(50):
+            exps = [(mp.mpf(lk), mp.mpf(w))
+                    for lk, w in zip(sig.lambdas_full, sig.weights)]
+            for j in range(0, len(traj.t), 32):
+                t = mp.mpf(traj.t[j])
+                for n in range(n_modes):
+                    ln = mp.mpf(basis.eigenvalues[n])
+                    conv = mp.fsum(w * (mp.exp(lk * (t - T)) - mp.exp(-ln * t - lk * T))
+                                   / (ln + lk) for lk, w in exps)
+                    ref = (mp.exp(-ln * t) * mp.mpf(mu0.coefficients[n])
+                           - mp.mpf(basis.neumann_traces[n]) / ln * conv)
+                    assert abs(float(ref - mp.mpf(traj.v[n, j]))) <= 2e-15
+
+    def test_finite_when_lambda_h_exceeds_exp_range(self):
+        # grid 2 at T = 2: lambda_N h is about 987, so e^{lambda_N h} overflows
+        basis, mu0, sig = bump_to_rest(0.0, 10, 2.0)
+        assert basis.eigenvalues[-1] * (2.0 / 2) > 709.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            traj = evolve(basis, mu0, sig, grid_size=2)
+        assert np.all(np.isfinite(traj.v))
+        assert np.all(np.isfinite(traj.u_coeffs))
+        assert math.isfinite(traj.oracle_deviation)
+
+    def test_peak_memory_scales_with_output(self):
+        basis, mu0, sig = bump_to_rest(0.5, 10, 1.0)
+        tracemalloc.start()
+        try:
+            traj = evolve(basis, mu0, sig, grid_size=20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = traj.t.nbytes + traj.v.nbytes + traj.G_trace.nbytes + traj.u_coeffs.nbytes
+        assert peak < 4 * out
 
 
 class TestTerminalError:
