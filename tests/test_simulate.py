@@ -207,7 +207,7 @@ def bump_to_rest(alpha, n_modes, T):
     return basis, mu0, synthesize(basis, fam, mu0, zero_target(basis))
 
 
-class TestClosedFormKernel:
+class TestEvolveKernels:
     @pytest.mark.parametrize("alpha,n_modes,T", [(0.5, 11, 1.0), (0.2, 8, 0.5),
                                                  (0.9, 8, 1.0)])
     def test_matches_mpmath_duhamel_sum(self, alpha, n_modes, T):

@@ -47,10 +47,10 @@ CONFIGS = {
                            "--u0", "mode:1"],
     "simulate_a05_csv_grid64": ["simulate", "--alpha", "0.5", "--modes", "6",
                                 "--u0", "csv:profile.csv", "--grid", "64"],
-    # N = 11: most damped exponentials of evolve underflow
+    # N = 11: the damped exponentials of the high modes underflow
     "simulate_a05_n11_bump": ["simulate", "--alpha", "0.5", "--modes", "11",
                               "--u0", "poly:x(1-x)"],
-    # grid 2 at T = 2: lambda_N h is about 987, so e^{lambda h} overflows
+    # grid 2 at T = 2: lambda_N h is about 987, beyond exp's range of 709
     "simulate_a0_n10_t2_grid2": ["simulate", "--alpha", "0", "--modes", "10",
                                  "--horizon", "2", "--grid", "2",
                                  "--u0", "poly:x(1-x)"],
