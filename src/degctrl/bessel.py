@@ -115,12 +115,11 @@ class BesselEval:
     argument: float
     value: float
     method: str          # "series" | "asymptotic"
-    term_count: int
     est_error: float
 
 
 def _series_eval(nu: float, x: float):
-    """J_nu on [0, SERIES_CUTOFF] in float64: (value, term_count, est_error).
+    """J_nu on [0, SERIES_CUTOFF] in float64: (value, est_error).
 
     The ascending series up to ``_MILLER_FROM``, its terms generated by the
     ratio t_{m+1} = -t_m (x/2)^2 / ((m+1)(m+nu+1)) so that no large Gamma
@@ -129,10 +128,10 @@ def _series_eval(nu: float, x: float):
     (x/2)^nu / Gamma(nu+1) >= |J_nu(x)|, to the truncation term.
     """
     if x == 0.0:
-        return (1.0 if nu == 0.0 else 0.0), 1, 0.0
+        return (1.0 if nu == 0.0 else 0.0), 0.0
     if x > _MILLER_FROM:
         lead, value = _miller(nu, x)
-        return float(value), _MILLER_START, _ROUNDING_ULPS * _EPS * float(lead)
+        return float(value), _ROUNDING_ULPS * _EPS * float(lead)
     q = (x / 2.0) ** 2
     term = total = size = (x / 2.0) ** nu / gamma_fn(nu + 1.0)
     m = 0
@@ -141,7 +140,7 @@ def _series_eval(nu: float, x: float):
         # terms do not increase for x <= 2, so the alternating remainder
         # is bounded by the first omitted term
         if abs(nxt) < 1e-18 * max(1.0, abs(total)):
-            return total, m + 1, abs(nxt) + _ROUNDING_ULPS * _EPS * size
+            return total, abs(nxt) + _ROUNDING_ULPS * _EPS * size
         term = nxt
         total += term
         size += abs(term)
@@ -172,11 +171,11 @@ def _asymptotic_eval(nu: float, x: float):
             p_sum += nxt
         u = nxt
     value = pref * (p_sum * math.cos(omega) - q_sum * math.sin(omega))
-    return value, m, pref * abs(nxt)
+    return value, pref * abs(nxt)
 
 
 def _eval_any_order(nu: float, x: float):
-    """(value, terms, est, method) without the public order restriction."""
+    """(value, est, method) without the public order restriction."""
     if not 0.0 <= x < math.inf:
         raise DomainError("arguments must be finite and nonnegative")
     if x <= SERIES_CUTOFF:
@@ -194,9 +193,9 @@ def bessel_j(nu: float, x: float) -> BesselEval:
     x = float(x)
     if not 0.0 <= nu <= 1.0:
         raise DomainError(f"order must lie in [0, 1], got {nu}")
-    value, count, est, method = _eval_any_order(nu, x)
+    value, est, method = _eval_any_order(nu, x)
     return BesselEval(order=nu, argument=x, value=value, method=method,
-                      term_count=count, est_error=est)
+                      est_error=est)
 
 
 def bessel_j_prime(nu: float, x: float) -> float:

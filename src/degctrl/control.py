@@ -247,7 +247,6 @@ class ReachabilityScore:
     """
 
     partial_sums: np.ndarray
-    terms: np.ndarray
     verdict: str
 
     @property
@@ -276,4 +275,4 @@ def reachability_score(muT: MomentVector, alpha: float, K: float) -> Reachabilit
         else:
             ratios = tail[1:] / tail[:-1]
             verdict = "geometric-decay-pass" if np.all(ratios < 1.0) else "fail"
-    return ReachabilityScore(partial_sums=sums, terms=terms, verdict=verdict)
+    return ReachabilityScore(partial_sums=sums, verdict=verdict)

@@ -41,7 +41,7 @@ from ._fmt import write_csv
 from .biortho import (BiorthogonalFamily, build_biortho, eval_sigma,
                       exponential_gram)
 from .control import moment_residual, synthesize
-from .errors import AccuracyError, ConditioningError, DomainError, UsageError
+from .errors import AccuracyError, DomainError, UsageError
 from .quadrature import panel_rule
 from .simulate import ORACLE_TOL, evolve
 from .spectrum import (MomentVector, SpectralBasis, gram_matrix, make_basis,
@@ -240,11 +240,12 @@ def cost_upper(alpha: float, u0: MomentVector, T: float, n_modes: int,
                tol: float = 1e-6) -> CostUpper:
     """||G_alpha||_H1 of the verified moment-method null control.
 
-    On Gram conditioning failure the mode count backs off one at a time
-    (u0 coefficients truncated accordingly) down to 4; the count actually
-    used is reported. Conditioning-induced accuracy failures of the family
-    construction (residual floor above tolerance at high condition
-    numbers) back off the same way.
+    A mode count N is used only if its biorthogonal family certifies and
+    its ``null_control`` run raises no ``AccuracyError`` and passes all
+    four oracles; any failure backs off to N - 1 (u0 coefficients
+    truncated accordingly), down to 4. The count used is reported. When no
+    count passes, one ``AccuracyError`` lists every N tried with its
+    reason.
     """
     if not 0.0 <= alpha < 1.0:
         raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
@@ -254,30 +255,30 @@ def cost_upper(alpha: float, u0: MomentVector, T: float, n_modes: int,
                          f"got {n_modes}")
     if len(u0) < n_modes:
         raise UsageError(f"u0 carries {len(u0)} coefficients, need {n_modes}")
-    last_err = None
+    trail = []
     for n in range(n_modes, _MIN_RETRY_N - 1, -1):
         basis = make_basis(alpha, n)
         mu0 = MomentVector(alpha=alpha, coefficients=u0.coefficients[:n],
                            basis_id=basis.basis_id)
         try:
             fam = build_biortho(basis.eigenvalues, T, tol=tol)
-        except (ConditioningError, AccuracyError) as err:
-            last_err = err
+            signal, _, _, checks = null_control(basis, fam, mu0, tol)
+        except AccuracyError as err:
+            trail.append(f"N={n}: {err}")
             continue
-        signal, _, _, checks = null_control(basis, fam, mu0, tol)
         failures = [f"{name} {value:.2e} > {limit:.0e}"
                     for name, value, limit in checks if not value <= limit]
         if failures:
-            raise AccuracyError("null-control oracles failed: " + "; ".join(failures))
+            trail.append(f"N={n}: null-control oracles failed: " + "; ".join(failures))
+            continue
         diag = dict(zip(("moment_residual_max", "boundary_terminal",
                          "terminal_residual_max", "oracle_deviation"),
                         (value for _, value, _ in checks)),
                     gram_condition=fam.gram_condition)
         return CostUpper(value=signal.norms["G_h1"], n_used=n, diagnostics=diag)
-    raise ConditioningError(
-        f"no admissible mode count in [{_MIN_RETRY_N}, {n_modes}] for "
-        f"alpha={alpha}, T={T}: {last_err}",
-        largest_admissible_n=getattr(last_err, "largest_admissible_n", None))
+    raise AccuracyError(
+        f"no mode count in [{_MIN_RETRY_N}, {n_modes}] passes for "
+        f"alpha={alpha}, T={T}: " + " | ".join(trail))
 
 
 def cost_lower(alpha: float, u0: MomentVector, T: float,
@@ -404,7 +405,7 @@ def cost_sweep(alphas, u0, T: float, n_modes: int,
             up = cost_upper(alpha, mu0, T, n_modes, tol=tol)
             points.append(CostPoint(alpha=alpha, upper=up.value, lower=lower,
                                     n_used=up.n_used, ok=True, message=""))
-        except (ConditioningError, AccuracyError) as err:
+        except AccuracyError as err:
             points.append(CostPoint(alpha=alpha, upper=None, lower=lower,
                                     n_used=None, ok=False, message=str(err)))
     descr = u0 if isinstance(u0, str) else getattr(u0, "__name__", "callable")

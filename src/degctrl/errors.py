@@ -17,21 +17,20 @@ class ConvergenceError(DegctrlError, RuntimeError):
     """An iteration failed to converge; carries diagnostics in args."""
 
 
-class ConditioningError(DegctrlError, RuntimeError):
-    """A Gram system is too ill-conditioned to solve reliably.
-
-    ``largest_admissible_n`` is the largest mode count whose leading
-    principal Gram block stays below the condition-number gate.
-    """
-
-    def __init__(self, message, condition=None, largest_admissible_n=None):
-        super().__init__(message)
-        self.condition = condition
-        self.largest_admissible_n = largest_admissible_n
-
-
 class AccuracyError(DegctrlError, RuntimeError):
     """A computed quantity failed its internal accuracy gate."""
+
+
+class ConditioningError(AccuracyError):
+    """A Gram system is too ill-conditioned to certify a family.
+
+    Raised before any solve, as an early form of the accuracy failure the
+    certificate would report; ``condition`` is the Gram condition number.
+    """
+
+    def __init__(self, message, condition=None):
+        super().__init__(message)
+        self.condition = condition
 
 
 class QuadratureError(DegctrlError, RuntimeError):

@@ -10,6 +10,9 @@ DELETED = {
     degctrl.SpectralBasis: ("save_json",),
     degctrl.CostReport: ("save_json",),
     degctrl.Trajectory: ("save_json",),
+    degctrl.BoundProfile: ("margins",),
+    degctrl.ReachabilityScore: ("terms",),
+    degctrl.BesselEval: ("term_count",),
 }
 
 

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from degctrl.biortho import (CONDITION_LIMIT, _largest_admissible_n,
-                             _quadrature_gram, _solve_spd, bound_profile,
-                             build_biortho, eval_sigma, exponential_gram)
+from degctrl.biortho import (DEFAULT_TOL, _quadrature_gram, _solve_spd,
+                             bound_profile, build_biortho, eval_sigma,
+                             exponential_gram)
 from degctrl.errors import (AccuracyError, ConditioningError, DomainError,
                             UsageError)
 from degctrl.quadrature import panel_rule
@@ -65,17 +65,12 @@ class TestQuadratureGram:
         assert np.max(np.abs(M - ref) / np.abs(ref)) <= 1e-16
 
     def test_prefix_grams_are_leading_blocks(self):
-        # the admissibility scan conditions slices of the full Gram; each is
-        # the prefix's own Gram bit for bit
+        # the Gram of a prefix is the full Gram's leading block bit for bit
         lams_full = np.concatenate([[0.0], make_basis(0.5, 16).eigenvalues])
         G = exponential_gram(lams_full, 0.7)
-        best = 0
         for n in range(1, 17):
             prefix = exponential_gram(lams_full[:n + 1], 0.7)
             assert np.array_equal(prefix, G[:n + 1, :n + 1])
-            if best == n - 1 and np.linalg.cond(prefix) <= CONDITION_LIMIT:
-                best = n
-        assert _largest_admissible_n(G) == best < 16
 
 
 class TestBuild:
@@ -136,8 +131,33 @@ class TestBuild:
         lam = make_basis(0.0, 16).eigenvalues
         with pytest.raises(ConditioningError) as err:
             build_biortho(lam, 1.0)
-        assert err.value.largest_admissible_n == 12
         assert err.value.condition > 1e14
+
+    def test_conditioning_error_is_an_accuracy_error(self):
+        assert issubclass(ConditioningError, AccuracyError)
+
+    @pytest.mark.parametrize("T", [0.5, 1.0, 2.0])
+    def test_condition_gate_rejects_only_uncertifiable_families(self, T):
+        # the gate is an early reject: each family it rejects fails the
+        # certificate too, recomputed here past the gate
+        rejected = 0
+        for alpha in (0.0, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99):
+            lam = make_basis(alpha, 16).eigenvalues
+            for n in range(8, 17):
+                try:
+                    build_biortho(lam[:n], T)
+                    continue
+                except ConditioningError:
+                    rejected += 1
+                except AccuracyError:
+                    continue
+                lams_full = np.concatenate([[0.0], lam[:n]])
+                B = np.eye(n + 1, n, k=-1)
+                A = _solve_spd(exponential_gram(lams_full, T), B)
+                M = _quadrature_gram(lams_full, T)
+                resid = (M @ A.astype(np.longdouble)).astype(float).T - B.T
+                assert np.max(np.abs(resid)) > DEFAULT_TOL, (alpha, n)
+        assert rejected > 0
 
     def test_accuracy_error_on_unreachable_tol(self):
         with pytest.raises(AccuracyError):

@@ -5,8 +5,10 @@ import pytest
 
 from degctrl import bessel
 from degctrl.biortho import build_biortho, eval_sigma
-from degctrl.cost import cost_lower, cost_sweep, cost_upper, resolve_u0
-from degctrl.errors import UsageError
+from degctrl.cost import (BOUNDARY_TOL, TERMINAL_TOL, cost_lower, cost_sweep,
+                          cost_upper, resolve_u0)
+from degctrl.errors import AccuracyError, UsageError
+from degctrl.simulate import ORACLE_TOL
 from degctrl.quadrature import panel_rule
 from degctrl.spectrum import (MomentVector, make_basis, make_limit_basis,
                               project, unit_moment)
@@ -54,6 +56,31 @@ class TestCostUpper:
         assert up.n_used in (11, 12)
         assert up.diagnostics["gram_condition"] < 1e14
         assert up.diagnostics["moment_residual_max"] < 1e-6
+
+    def test_backoff_walks_past_oracle_failures(self):
+        # at T = 0.02 the boundary return of N = 8..5 fails its limit while
+        # every family certifies; N = 4 passes all four checks
+        up = cost_upper(0.0, unit_moment(make_basis(0.0, 8), 1), 0.02, 8)
+        assert up.n_used == 4
+        d = up.diagnostics
+        assert d["moment_residual_max"] <= 1e-6
+        assert d["boundary_terminal"] <= BOUNDARY_TOL
+        assert d["terminal_residual_max"] <= TERMINAL_TOL
+        assert d["oracle_deviation"] <= ORACLE_TOL
+
+    def test_backoff_walks_past_synthesis_accuracy_errors(self):
+        # at N = 8 synthesize's closed-form norms miss their quadrature
+        # check; the run backs off instead of giving up
+        basis = make_basis(0.3, 8)
+        up = cost_upper(0.3, resolve_u0("poly:x(1-x)", basis), 0.05, 8)
+        assert up.n_used < 8
+        assert up.diagnostics["boundary_terminal"] <= BOUNDARY_TOL
+
+    def test_exhausted_backoff_lists_every_n_tried(self):
+        with pytest.raises(AccuracyError) as err:
+            cost_upper(0.9, unit_moment(make_basis(0.9, 8), 1), 0.02, 8)
+        for n in range(8, 3, -1):
+            assert f"N={n}:" in str(err.value)
 
     def test_mode_count_below_minimum(self):
         basis = make_basis(0.5, 2)

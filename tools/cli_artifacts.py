@@ -39,6 +39,8 @@ CONFIGS = {
     # T = 0.7: the certificate's nodes are inexact, N = 11 near the ceiling
     "biortho_a05_n11_t07": ["biortho", "--alpha", "0.5", "--modes", "11",
                             "--horizon", "0.7"],
+    # N = 16 at T = 1: the condition gate rejects before any solve
+    "biortho_a0_n16_gated": ["biortho", "--alpha", "0", "--modes", "16"],
     "synthesize_a05_bump": ["synthesize", "--alpha", "0.5", "--modes", "8",
                             "--u0", "poly:x(1-x)"],
     "synthesize_a05_target": ["synthesize", "--alpha", "0.5", "--modes", "6",
@@ -58,6 +60,10 @@ CONFIGS = {
                          "--u0", "mode:1"],
     "cost_sweep_bump_csv": ["cost-sweep", "--alphas", "0.5,0.95", "--modes", "8",
                             "--u0", "poly:x(1-x)", "--format", "csv"],
+    # T = 0.02: alpha = 0 backs off past oracle failures to N = 4, and at
+    # alpha = 0.9 no N passes
+    "cost_sweep_t002_backoff": ["cost-sweep", "--alphas", "0,0.9", "--modes", "8",
+                                "--horizon", "0.02", "--u0", "mode:1"],
     "cost_sweep_csv_state": ["cost-sweep", "--alphas", "0.3", "--modes", "6",
                              "--u0", "csv:profile.csv"],
     "verify_a0_n8": ["verify", "--alpha", "0", "--modes", "8"],
