@@ -9,6 +9,8 @@ import numpy as np
 
 
 def csv_cell(v) -> str:
+    if type(v) is float:
+        return repr(v)
     if v is None:
         return ""
     if isinstance(v, (bool, np.bool_)):

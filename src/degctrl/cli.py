@@ -11,6 +11,7 @@ path passed; 1 on numerical failure; 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -75,6 +76,7 @@ def _load_config(path: str) -> dict:
     return values
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="degctrl",

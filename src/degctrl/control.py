@@ -106,7 +106,8 @@ class ControlSignal:
     def save_csv(self, path, samples: int = 257) -> None:
         """Sampled (t, g, G) table for plotting."""
         t = np.linspace(0.0, self.T, samples)
-        write_csv(path, ("t", "g", "G"), zip(t, self.eval_g(t), self.eval_G(t)))
+        write_csv(path, ("t", "g", "G"),
+                  np.column_stack((t, self.eval_g(t), self.eval_G(t))).tolist())
 
 
 def _exp_growth_terms(muT: np.ndarray, lambdas: np.ndarray, T: float) -> np.ndarray:

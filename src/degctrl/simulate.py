@@ -83,7 +83,7 @@ class Trajectory:
 
     def save_csv(self, path) -> None:
         cols = ["t"] + [f"v{i + 1}" for i in range(self.n_modes)] + ["G"]
-        write_csv(path, cols, zip(self.t, *self.v, self.G_trace))
+        write_csv(path, cols, np.column_stack((self.t, *self.v, self.G_trace)).tolist())
 
     def summary_dict(self) -> dict:
         return {

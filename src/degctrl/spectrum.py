@@ -34,6 +34,7 @@ facts are rechecked numerically on every constructed basis and recorded in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -239,6 +240,16 @@ def _substituted_rule(basis: SpectralBasis, panels: int):
     return y, x, common
 
 
+@lru_cache(maxsize=8)
+def _bessel_table(nu: float, zeros: tuple, panels: int) -> np.ndarray:
+    """Read-only J_nu(j_n y) on the ``panels``-panel rule, one row per zero j_n.
+    J_nu is evaluated once per (nu, zeros, panels), kept for the last few bases."""
+    y, _ = panel_rule(0.0, 1.0, panels, DEFAULT_NODES)
+    table = bessel.bessel_j_many(nu, np.array(zeros)[:, None] * y)
+    table.flags.writeable = False
+    return table
+
+
 def project(basis: SpectralBasis, f, panels: int = DEFAULT_PANELS,
             tol: float = 1e-8) -> MomentVector:
     """Fourier-Bessel coefficients mu_n = int_0^1 f Phi_n dx.
@@ -246,6 +257,7 @@ def project(basis: SpectralBasis, f, panels: int = DEFAULT_PANELS,
     ``f`` must accept an ndarray of points in [0, 1]. The quadrature error
     is estimated by doubling the panel count; estimates above ``tol``
     raise ``QuadratureError`` rather than passing silently.
+    J_nu is evaluated once per (nu, zeros, panels), kept for the last few bases.
     """
     coarse = _project_once(basis, f, panels)
     fine = _project_once(basis, f, 2 * panels)
@@ -261,7 +273,7 @@ def project(basis: SpectralBasis, f, panels: int = DEFAULT_PANELS,
 def _project_once(basis, f, panels) -> np.ndarray:
     y, x, common = _substituted_rule(basis, panels)
     fx = np.asarray(f(x), dtype=float) * common
-    table = bessel.bessel_j_many(basis.nu, basis.zeros[:, None] * y)
+    table = _bessel_table(basis.nu, tuple(basis.zeros), panels)
     return basis.norm_consts * (table @ fx)
 
 
@@ -297,11 +309,12 @@ def source_coefficient_quadrature(basis: SpectralBasis, n: int) -> float:
     """Independent quadrature of int (1 - x^{1-a}) Phi_n dx.
 
     In the substituted variable the weight is 1 - y^{2 nu}.
+    J_nu is evaluated once per (nu, zeros, panels), kept for the last few bases.
     """
     y, _, common = _substituted_rule(basis, DEFAULT_PANELS)
-    mode = basis.modes[n - 1]
-    integrand = (1.0 - y ** (2.0 * basis.nu)) * bessel.bessel_j_many(basis.nu, mode.zero * y)
-    return mode.norm_const * float(np.dot(common, integrand))
+    row = _bessel_table(basis.nu, tuple(basis.zeros), DEFAULT_PANELS)[n - 1]
+    integrand = (1.0 - y ** (2.0 * basis.nu)) * row
+    return basis.modes[n - 1].norm_const * float(np.dot(common, integrand))
 
 
 def gram_matrix(basis: SpectralBasis) -> np.ndarray:
@@ -309,10 +322,11 @@ def gram_matrix(basis: SpectralBasis) -> np.ndarray:
 
     With two eigenfunctions in the integrand the substituted weight is
     exactly y: Phi_m Phi_n dx = (C_m C_n / kappa) y J(j_m y) J(j_n y) dy.
+    J_nu is evaluated once per (nu, zeros, panels), kept for the last few bases.
     """
     y, w = panel_rule(0.0, 1.0, DEFAULT_PANELS, DEFAULT_NODES)
     vals = (basis.norm_consts[:, None]
-            * bessel.bessel_j_many(basis.nu, basis.zeros[:, None] * y))
+            * _bessel_table(basis.nu, tuple(basis.zeros), DEFAULT_PANELS))
     return (vals * (w * y / basis.kappa)) @ vals.T
 
 
@@ -346,11 +360,11 @@ class LimitBasis:
         """<f, Phi_n> = (1/|J'_0(j_n)|) int_0^1 2 y f(y^2) J_0(j_n y) dy."""
         y, w = panel_rule(0.0, 1.0, DEFAULT_PANELS, DEFAULT_NODES)
         fy = np.asarray(f(y**2), dtype=float) * 2.0 * y * w
-        return (bessel.bessel_j_many(0.0, self.zeros[:, None] * y) @ fy) / self.jprime
+        return (_bessel_table(0.0, tuple(self.zeros), DEFAULT_PANELS) @ fy) / self.jprime
 
     def gram(self) -> np.ndarray:
         y, w = panel_rule(0.0, 1.0, DEFAULT_PANELS, DEFAULT_NODES)
-        vals = bessel.bessel_j_many(0.0, self.zeros[:, None] * y) / self.jprime[:, None]
+        vals = _bessel_table(0.0, tuple(self.zeros), DEFAULT_PANELS) / self.jprime[:, None]
         return (vals * (2.0 * y * w)) @ vals.T
 
 

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from degctrl import build_biortho, make_basis, resolve_u0, verify
+from degctrl._fmt import write_csv
 from degctrl.cli import main
+from degctrl.cost import null_control
 
 
 def run_cli(args):
@@ -240,3 +242,66 @@ class TestSigmaReplay:
         report = json.loads((tmp_path / "verify.json").read_text())
         replay = next(c for c in report["checks"] if c["name"] == "sigma_replay")
         assert replay["passed"] and replay["metric"] <= 1e-6
+
+
+def _reference_cell(v) -> str:
+    """Per-cell CSV formatting, checked type by type."""
+    if v is None:
+        return ""
+    if isinstance(v, (bool, np.bool_)):
+        return str(bool(v))
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return repr(float(v))
+
+
+def _reference_csv(path, columns, rows) -> None:
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_reference_cell(v) for v in row) + "\n")
+
+
+class TestCsvWriter:
+    def test_cells_match_per_cell_reference(self, tmp_path):
+        rows = [[-0.0, 5e-324, 1e300, float("nan"), float("inf"), -float("inf")],
+                [np.float64(0.1), np.int64(-7), True, None, 3, 2.5],
+                np.array([1.0 / 3.0, -2.0, 1e-300, 0.0, 7.0, -1e16]).tolist()]
+        write_csv(tmp_path / "new.csv", list("abcdef"), rows)
+        _reference_csv(tmp_path / "ref.csv", list("abcdef"), rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_trajectory_and_control_tables(self, tmp_path):
+        basis = make_basis(0.3, 6)
+        fam = build_biortho(basis.eigenvalues, 1.0)
+        mu0 = resolve_u0("poly:x(1-x)", basis)
+        sig, _, traj, _ = null_control(basis, fam, mu0, 1e-6, grid_size=64)
+        traj.save_csv(tmp_path / "traj.csv")
+        cols = ["t"] + [f"v{i + 1}" for i in range(6)] + ["G"]
+        _reference_csv(tmp_path / "traj_ref.csv", cols, zip(traj.t, *traj.v, traj.G_trace))
+        sig.save_csv(tmp_path / "ctrl.csv")
+        t = np.linspace(0.0, sig.T, 257)
+        _reference_csv(tmp_path / "ctrl_ref.csv", ("t", "g", "G"),
+                       zip(t, sig.eval_g(t), sig.eval_G(t)))
+        for name in ("traj", "ctrl"):
+            assert ((tmp_path / f"{name}.csv").read_bytes()
+                    == (tmp_path / f"{name}_ref.csv").read_bytes())
+
+
+class TestParserReuse:
+    def test_repeated_calls_parse_alike(self, tmp_path, capsys):
+        # one parser serves every call in a process; it must carry nothing over
+        bad = ["spectrum", "--alpha", "0.5", "--format", "xml"]
+        with pytest.raises(SystemExit) as first:
+            main(bad)
+        err = capsys.readouterr().err
+        assert run_cli(["spectrum", "--alpha", "0", "--modes", "2",
+                        "--format", "csv", "--out-dir", str(tmp_path)]) == 0
+        assert run_cli(["spectrum", "--alpha", "0.5", "--modes", "2",
+                        "--out-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "spectrum.json").exists()
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as second:
+            main(bad)
+        assert first.value.code == second.value.code == 2
+        assert capsys.readouterr().err == err

@@ -9,7 +9,7 @@ from degctrl.bessel import bessel_j, bessel_j_prime
 from degctrl.errors import DomainError, UsageError
 from degctrl.quadrature import panel_rule
 from degctrl.spectrum import (DEFAULT_NODES, DEFAULT_PANELS, GAP_CONSECUTIVE,
-                              GAP_FIRST, eval_eigenfunction,
+                              GAP_FIRST, _bessel_table, eval_eigenfunction,
                               gram_matrix, make_basis, make_limit_basis,
                               neumann_trace_numeric, project,
                               source_coefficient,
@@ -305,3 +305,76 @@ class TestBasisReuse:
     def test_signed_zero_alphas_stay_apart(self):
         assert make_basis(-0.0, 4).basis_id == "alpha=-0.0;N=4"
         assert make_basis(0.0, 4).basis_id == "alpha=0.0;N=4"
+
+
+def _count_bessel_j_many(monkeypatch):
+    """Record (nu, points) of every bessel_j_many call from here on."""
+    calls = []
+    many = bessel.bessel_j_many
+    monkeypatch.setattr(bessel, "bessel_j_many",
+                        lambda nu, x: calls.append((nu, np.size(x))) or many(nu, x))
+    return calls
+
+
+def _source_row_oracle(basis, n):
+    """The per-row quadrature source_coefficient_quadrature evaluated
+    before the J_nu tables were shared."""
+    y, w = panel_rule(0.0, 1.0, DEFAULT_PANELS, DEFAULT_NODES)
+    common = w * y ** (1.0 / (2.0 - basis.alpha)) / basis.kappa
+    mode = basis.modes[n - 1]
+    integrand = (1.0 - y ** (2.0 * basis.nu)) * bessel.bessel_j_many(basis.nu, mode.zero * y)
+    return mode.norm_const * float(np.dot(common, integrand))
+
+
+class TestBesselTable:
+    def test_verify_evaluates_one_table(self, monkeypatch):
+        from degctrl import build_biortho, verify
+        _bessel_table.cache_clear()
+        basis = make_basis(0.4137, 8)
+        fam = build_biortho(basis.eigenvalues, 1.0)
+        calls = _count_bessel_j_many(monkeypatch)
+        checks = verify(basis, fam, unit_moment(basis, 1), 1e-6)
+        assert all(c["passed"] for c in checks)
+        # the Gram and all eight source coefficients read one 8 x 512 table
+        assert calls == [(basis.nu, 8 * DEFAULT_PANELS * DEFAULT_NODES)]
+
+    def test_project_evaluates_each_panel_count_once(self, monkeypatch):
+        _bessel_table.cache_clear()
+        f = lambda x: x * (1.0 - x)
+        calls = _count_bessel_j_many(monkeypatch)
+        first = project(make_basis(0.4139, 8), f)
+        assert len(calls) == 2
+        make_basis(0.4139, 12)
+        sliced = make_basis(0.4139, 8)
+        again = project(sliced, f)
+        assert len(calls) == 2
+        assert np.array_equal(again.coefficients, first.coefficients)
+
+    def test_read_only_and_equal_to_direct_call(self):
+        basis = make_basis(0.6, 5)
+        table = _bessel_table(basis.nu, tuple(basis.zeros), DEFAULT_PANELS)
+        y, _ = panel_rule(0.0, 1.0, DEFAULT_PANELS, DEFAULT_NODES)
+        direct = bessel.bessel_j_many(basis.nu, basis.zeros[:, None] * y)
+        assert table.shape == direct.shape
+        assert table.tobytes() == direct.tobytes()
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+
+    def test_bounded(self, monkeypatch):
+        _bessel_table.cache_clear()
+        keep = _bessel_table.cache_info().maxsize
+        calls = _count_bessel_j_many(monkeypatch)
+        bases = [make_basis(0.05 + 0.1 * k, 2) for k in range(keep + 1)]
+        for basis in bases:
+            gram_matrix(basis)
+        assert len(calls) == keep + 1
+        gram_matrix(bases[-1])
+        assert len(calls) == keep + 1
+        gram_matrix(bases[0])
+        assert len(calls) == keep + 2
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
+    def test_source_row_equals_per_row_evaluation(self, alpha):
+        basis = make_basis(alpha, 8)
+        for n in range(1, 9):
+            assert source_coefficient_quadrature(basis, n) == _source_row_oracle(basis, n)

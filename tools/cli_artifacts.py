@@ -56,6 +56,9 @@ CONFIGS = {
     "simulate_a0_n10_t2_grid2": ["simulate", "--alpha", "0", "--modes", "10",
                                  "--horizon", "2", "--grid", "2",
                                  "--u0", "poly:x(1-x)"],
+    # a 4097-row trajectory.csv: the CSV writer's bulk path
+    "simulate_a03_grid4096": ["simulate", "--alpha", "0.3", "--modes", "8",
+                              "--u0", "poly:x(1-x)", "--grid", "4096"],
     "cost_sweep_mode1": ["cost-sweep", "--alphas", "0,0.5,0.9", "--modes", "8",
                          "--u0", "mode:1"],
     "cost_sweep_bump_csv": ["cost-sweep", "--alphas", "0.5,0.95", "--modes", "8",
@@ -89,6 +92,9 @@ CONFIGS = {
     "error_verify_seed_negative": ["verify", "--alpha", "0.5", "--seed", "-1"],
     "error_sweep_modes_below_minimum": ["cost-sweep", "--alphas", "0.5",
                                         "--modes", "2"],
+    # argparse prints help and exits before it reads --out-dir
+    "help_root": ["--help"],
+    "help_verify": ["verify", "--help"],
 }
 
 
@@ -102,7 +108,8 @@ def main(argv) -> int:
         fh.write(PROFILE_CSV)
     with open(os.path.join(outdir, "verify.cfg"), "w") as fh:
         fh.write(CONFIG_FILE)
-    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    # COLUMNS fixes the width argparse wraps help and usage text to
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), COLUMNS="80")
     for name, args in CONFIGS.items():
         run = subprocess.run([sys.executable, "-m", "degctrl.cli", *args,
                               "--out-dir", name],
