@@ -13,7 +13,7 @@ rests on three primitives kept deliberately self-contained here:
                       iteration from McMahon's expansion and certified
                       against the Lorch-Muldoon bracket
                       pi (n + nu/2 - 1/4) <= j_{nu,n} <= pi (n + nu/4 - 1/8),
-                      valid for nu in [0, 1/2].
+                      valid for nu in [0, 1/2], and returns J'_nu there.
 
 These scalar evaluators are the certified path. Like ``bessel_j_many``,
 the vectorized quadrature path, they use only float64: the series where
@@ -24,13 +24,16 @@ paths run the same recurrence and agree there bit for bit. Against
 40-digit mpmath the absolute error on [0, 12.6] measured at most 1.3e-15
 for orders 0 to 2, which lets zero residuals |J_nu(j)| < 1e-12 be met near
 x ~ 12; below the switchover each certificate bounds float64 rounding as
-well as truncation.
+well as truncation. Hankel's term constants are tabulated once, Miller's
+per order for the last few orders; both keep the order of operations.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,6 +53,9 @@ SERIES_CUTOFF = 12.6
 # nu + _MILLER_START.
 _MILLER_FROM = 2.0
 _MILLER_START = 40
+
+# (m, (2m-1)^2, 8m) of Hankel's term recursion; every float is exact
+_HANKEL_TERMS = tuple((m, float((2 * m - 1) ** 2), 8.0 * m) for m in range(1, 61))
 
 # A-priori rounding bound of the scalar path below SERIES_CUTOFF, in ulps
 # of the magnitude it works at: up to 12 from the Lanczos sum of gamma_fn,
@@ -153,25 +159,26 @@ def _asymptotic_eval(nu: float, x: float):
     P and Q are summed adaptively up to the smallest term; est_error is
     the prefactor times the first omitted term.
     """
-    mu = 4.0 * nu * nu
     pref = math.sqrt(2.0 / (math.pi * x))
     omega = x - nu * math.pi / 2.0 - math.pi / 4.0
     # P = u_0 - u_2 + u_4 - ..., Q = u_1 - u_3 + ..., with
     # u_m = u_{m-1} (mu - (2m-1)^2) / (8 m x); u carries the sign
-    # (-1)^floor(m/2) with which u_m enters its sum
-    p_sum, q_sum, u = 1.0, 0.0, 1.0
-    for m in range(1, 61):
-        nxt = u * (mu - (2 * m - 1) ** 2) / (8.0 * m * x)
-        if abs(nxt) >= abs(u) or abs(nxt) < 1e-18:
+    # (-1)^floor(m/2) with which u_m enters its sum, size its magnitude
+    p_sum, q_sum, u, size = 1.0, 0.0, 1.0, 1.0
+    mu = 4.0 * nu * nu
+    for m, sq, eight_m in _HANKEL_TERMS:
+        nxt = u * (mu - sq) / (eight_m * x)
+        mag = abs(nxt)
+        if mag >= size or mag < 1e-18:
             break
         if m % 2:
             q_sum += nxt
         else:
             nxt = -nxt
             p_sum += nxt
-        u = nxt
+        u, size = nxt, mag
     value = pref * (p_sum * math.cos(omega) - q_sum * math.sin(omega))
-    return value, pref * abs(nxt)
+    return value, pref * mag
 
 
 def _eval_any_order(nu: float, x: float):
@@ -247,15 +254,15 @@ def bessel_j_many(nu: float, x: np.ndarray) -> np.ndarray:
     high = ~(low | mid)
     if np.any(high):
         xh = x[high]
-        mu = 4.0 * nu * nu
         pref = np.sqrt(2.0 / (np.pi * xh))
         omega = xh - nu * np.pi / 2.0 - np.pi / 4.0
         p_sum = np.ones_like(xh)
         q_sum = np.zeros_like(xh)
         u_prev = np.ones_like(xh)
         alive = np.ones(xh.shape, dtype=bool)
-        for m in range(1, 40):
-            u = u_prev * (mu - (2 * m - 1) ** 2) / (8.0 * m * xh)
+        mu = 4.0 * nu * nu
+        for m, sq, eight_m in _HANKEL_TERMS[:39]:
+            u = u_prev * (mu - sq) / (eight_m * xh)
             alive &= np.abs(u) < np.abs(u_prev)
             if not np.any(alive):
                 break
@@ -286,16 +293,28 @@ def _miller(nu: float, x):
     vectorized path agree bit for bit. Returns (lead, J_nu) with the
     leading series term lead = (x/2)^nu / Gamma(nu+1).
     """
+    steps, gamma = _miller_table(float(nu))
+    f_next, f, norm = 0.0, 1.0, 0.0
+    it = iter(steps)
+    for two_even, weight, two_odd in zip(it, it, it):
+        norm = norm + weight * f
+        f, f_next = (two_even / x) * f - f_next, f
+        f, f_next = (two_odd / x) * f - f_next, f
+    lead = np.power(x / 2.0, nu) / gamma
+    return lead, lead * f / (f + norm)
+
+
+@lru_cache(maxsize=4)
+def _miller_table(nu: float):
+    """Steps (2(nu+k), (nu+k) h_{k/2}, 2(nu+k-1)), k = K, K-2, ..., 2, and Gamma(nu+1),
+    in one flat array: tables of float objects, one per basis, fragment the heap."""
     h = [0.0, 1.0]
     for k in range(1, _MILLER_START // 2):
         h.append(h[k] * (nu + k) / (k + 1))
-    f_next, f, norm = 0.0, 1.0, 0.0
-    for k in range(_MILLER_START, 0, -1):
-        if k % 2 == 0:
-            norm = norm + (nu + k) * h[k // 2] * f
-        f, f_next = (2.0 * (nu + k) / x) * f - f_next, f
-    lead = np.power(x / 2.0, nu) / gamma_fn(nu + 1.0)
-    return lead, lead * f / (f + norm)
+    steps = array("d")
+    for k in range(_MILLER_START, 0, -2):
+        steps.extend((2.0 * (nu + k), (nu + k) * h[k // 2], 2.0 * (nu + (k - 1))))
+    return steps, gamma_fn(nu + 1.0)
 
 
 @dataclass(frozen=True)
@@ -303,7 +322,8 @@ class ZeroRecord:
     """A certified positive zero of J_nu.
 
     ``bracket`` is the Lorch-Muldoon enclosure the zero was certified
-    against; ``newton_iters`` counts Newton corrections actually taken.
+    against; ``newton_iters`` counts Newton corrections actually taken;
+    ``derivative`` is J'_nu(zero), bit for bit ``bessel_j_prime(order, zero)``.
     """
 
     order: float
@@ -311,6 +331,7 @@ class ZeroRecord:
     zero: float
     newton_iters: int
     bracket: tuple[float, float]
+    derivative: float
 
 
 #: residual tolerance |J_nu(j)| required of a certified zero
@@ -329,35 +350,12 @@ def mcmahon_guess(nu: float, n: int) -> float:
     return beta - (4.0 * nu * nu - 1.0) / (8.0 * beta)
 
 
-def _bisect_zero(nu: float, lo: float, hi: float) -> float:
-    flo = _eval_any_order(nu, lo)[0]
-    fhi = _eval_any_order(nu, hi)[0]
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ConvergenceError(
-            f"no sign change of J_{nu} on bracket [{lo}, {hi}]")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = _eval_any_order(nu, mid)[0]
-        if fm == 0.0 or hi - lo < 1e-15 * mid:
-            return mid
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
 def bessel_zero(nu: float, n: int) -> ZeroRecord:
     """n-th positive zero of J_nu for nu in [0, 1/2].
 
-    Newton iteration from the McMahon guess, safeguarded by the
-    Lorch-Muldoon bracket; falls back to bisection on the bracket if an
-    iterate escapes it. The result satisfies |J_nu(j)| < 1e-12 and lies
-    inside the bracket.
+    Newton iteration from the McMahon guess, certified by the Lorch-Muldoon
+    bracket: an iterate that escapes it raises ``ConvergenceError``. The
+    result satisfies |J_nu(j)| < 1e-12 and lies inside the bracket.
     """
     nu = float(nu)
     if not 0.0 <= nu <= 0.5:
@@ -368,8 +366,8 @@ def bessel_zero(nu: float, n: int) -> ZeroRecord:
     x = min(max(mcmahon_guess(nu, n), lo), hi)
     iters = 0
     f = _eval_any_order(nu, x)[0]
-    best_x, best_f = x, abs(f)
-    converged = best_f < 1e-15
+    best_x, best_f = x, f
+    converged = abs(f) < 1e-15
     while not converged and iters < 50:
         fp = (nu / x) * f - _eval_any_order(nu + 1.0, x)[0]
         if fp == 0.0:
@@ -377,19 +375,19 @@ def bessel_zero(nu: float, n: int) -> ZeroRecord:
         step = f / fp
         x = x - step
         iters += 1
-        escaped = not (lo - _BRACKET_SLACK <= x <= hi + _BRACKET_SLACK)
-        if escaped:
-            x = _bisect_zero(nu, lo - _BRACKET_SLACK, hi + _BRACKET_SLACK)
+        if not lo - _BRACKET_SLACK <= x <= hi + _BRACKET_SLACK:
+            raise ConvergenceError(f"Newton iterate {x} for j_({nu},{n}) escaped "
+                                   f"the bracket [{lo}, {hi}] after {iters} steps")
         f = _eval_any_order(nu, x)[0]
-        if abs(f) < best_f:
-            best_x, best_f = x, abs(f)
-        # polish to the evaluator noise floor, then stop on stalled steps;
-        # a bisection result is final
-        converged = escaped or best_f < 1e-15 or abs(step) < 4.0 * _EPS * x
-    if best_f >= ZERO_TOL:
+        if abs(f) < abs(best_f):
+            best_x, best_f = x, f
+        # polish to the evaluator noise floor, then stop on stalled steps
+        converged = abs(best_f) < 1e-15 or abs(step) < 4.0 * _EPS * x
+    if abs(best_f) >= ZERO_TOL:
         raise ConvergenceError(
             f"zero j_({nu},{n}) stalled at {best_x} with residual "
-            f"{best_f:.3e} >= {ZERO_TOL} after {iters} Newton steps "
+            f"{abs(best_f):.3e} >= {ZERO_TOL} after {iters} Newton steps "
             f"(bracket [{lo}, {hi}])")
+    fp = (nu / best_x) * best_f - _eval_any_order(nu + 1.0, best_x)[0]
     return ZeroRecord(order=nu, index=n, zero=best_x, newton_iters=iters,
-                      bracket=(lo, hi))
+                      bracket=(lo, hi), derivative=fp)

@@ -74,20 +74,18 @@ def exponential_gram(lambdas_full: np.ndarray, T: float,
 
 def _solve_spd(G: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Equilibrated Cholesky solve with one extended-precision refinement
-    step; SVD fallback (cutoff 1e-14 * sigma_max) if factorization fails."""
+    step; ``AccuracyError`` if the Gram is not numerically positive definite."""
     d = 1.0 / np.sqrt(np.diag(G))
     Gs = G * d[:, None] * d[None, :]
     Bs = B * d[:, None]
     try:
         L = np.linalg.cholesky(Gs)
-        X = np.linalg.solve(L.T, np.linalg.solve(L, Bs))
-        # one refinement step, residual accumulated in 80-bit
-        R = (Bs.astype(_LD) - Gs.astype(_LD) @ X.astype(_LD)).astype(float)
-        X = X + np.linalg.solve(L.T, np.linalg.solve(L, R))
     except np.linalg.LinAlgError:
-        U, s, Vt = np.linalg.svd(Gs)
-        keep = s > 1e-14 * s[0]
-        X = Vt[keep].T @ ((U[:, keep].T @ Bs) / s[keep, None])
+        raise AccuracyError("Cholesky failed: Gram not positive definite") from None
+    X = np.linalg.solve(L.T, np.linalg.solve(L, Bs))
+    # one refinement step, residual accumulated in 80-bit
+    R = (Bs.astype(_LD) - Gs.astype(_LD) @ X.astype(_LD)).astype(float)
+    X = X + np.linalg.solve(L.T, np.linalg.solve(L, R))
     return X * d[:, None]
 
 

@@ -22,7 +22,7 @@ from ._fmt import write_csv, write_json
 from .biortho import bound_profile, build_biortho
 from .control import moment_residual, reachability_score, synthesize
 from .cost import BOUNDARY_TOL, cost_sweep, null_control, resolve_u0, verify
-from .errors import DegctrlError, DomainError, UsageError
+from .errors import AccuracyError, DegctrlError, DomainError, UsageError
 from .spectrum import MomentVector, make_basis
 
 #: every option in --help order: config-file key -> (type, default,
@@ -188,6 +188,9 @@ def _cmd_synthesize(cfg) -> int:
     if cfg["target"] is not None:
         muT = resolve_u0(cfg["target"], basis)
         k = cfg["reach_k"] if cfg["reach_k"] is not None else bound_profile(fam).K
+        if not k > 0.0 and cfg["reach_k"] is None:
+            raise AccuracyError(f"bound_profile's fitted K = {k:.4g} is not "
+                                f"positive; supply K with --reach-K")
         score = reachability_score(muT, basis.alpha, k)
         if not score.passed:
             print(f"target fails the reachability score (K={k:.4g}); refusing "

@@ -77,12 +77,13 @@ class ControlSignal:
     def eval_G(self, t) -> np.ndarray | float:
         scalar = np.isscalar(t)
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        a, b = self.affine
-        lam = self.lambdas_full[1:]
-        q = self.weights[1:] / lam
-        E = np.exp(lam[None, :] * (t[:, None] - self.T))
-        vals = a + b * t + E @ q
+        vals = self.G_from_exponentials(t, np.exp(np.outer(t - self.T, self.lambdas_full)))
         return float(vals[0]) if scalar else vals
+
+    def G_from_exponentials(self, t: np.ndarray, E: np.ndarray) -> np.ndarray:
+        """G at t from E[j, k] = e^{lambda_k (t_j - T)} over ``lambdas_full``."""
+        a, b = self.affine
+        return a + b * t + E[:, 1:] @ (self.weights[1:] / self.lambdas_full[1:])
 
     @property
     def terminal_value(self) -> float:

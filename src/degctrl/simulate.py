@@ -96,13 +96,12 @@ class Trajectory:
         }
 
 
-def _closed_form_modes(basis, signal, mu0, t):
+def _closed_form_modes(basis, signal, mu0, t, E):
     """v_n(t) on the grid from analytic Duhamel convolutions, factored
-    through S[j, n] as in the module docstring."""
+    through S[j, n] as in the module docstring; E[j, k] = e^{lambda_k (t_j - T)}."""
     lam = basis.eigenvalues
     lam_k = signal.lambdas_full
-    S = np.exp(np.outer(t - signal.T, lam_k)) @ (
-        signal.weights[:, None] / (lam_k[:, None] + lam))
+    S = E @ (signal.weights[:, None] / (lam_k[:, None] + lam))
     D = np.exp(np.outer(-lam, t))
     conv = S.T - D * S[0][:, None]
     return D * mu0[:, None] - (basis.neumann_traces / lam)[:, None] * conv
@@ -157,14 +156,15 @@ def evolve(basis: SpectralBasis, u0: MomentVector, signal: ControlSignal,
         raise DomainError("need at least 2 grid intervals")
     t = np.linspace(0.0, signal.T, grid_size + 1)
     mu0 = u0.coefficients
-    v = _closed_form_modes(basis, signal, mu0, t)
+    E = np.exp(np.outer(t - signal.T, signal.lambdas_full))
+    v = _closed_form_modes(basis, signal, mu0, t, E)
     v_hat = _integrator_modes(basis, signal, mu0, t)
     deviation = float(np.max(np.abs(v - v_hat)))
     if deviation > ORACLE_TOL:
         warnings.warn(
             f"closed-form and numeric trajectories deviate by {deviation:.3e} "
             f"(> {ORACLE_TOL:.0e}); the grid may be too coarse", stacklevel=2)
-    G_trace = np.asarray(signal.eval_G(t))
+    G_trace = signal.G_from_exponentials(t, E)
     u_coeffs = v + (basis.neumann_traces / basis.eigenvalues)[:, None] * G_trace[None, :]
     return Trajectory(t=t, v=v, G_trace=G_trace, u_coeffs=u_coeffs,
                       oracle_deviation=deviation, alpha=basis.alpha,

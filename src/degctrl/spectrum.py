@@ -188,7 +188,7 @@ def make_basis(alpha: float, n_modes: int) -> SpectralBasis:
     for n in range(1, n_modes + 1):
         rec = bessel.bessel_zero(nu, n)
         j = rec.zero
-        jp = abs(bessel.bessel_j_prime(nu, j))
+        jp = abs(rec.derivative)
         modes.append(Mode(
             index=n,
             zero=j,
@@ -372,6 +372,6 @@ def make_limit_basis(n_modes: int) -> LimitBasis:
     """Build the alpha = 1 limit family from the zeros of J_0."""
     if n_modes < 1:
         raise DomainError(f"need at least one mode, got {n_modes}")
-    zeros = np.array([bessel.bessel_zero(0.0, n).zero for n in range(1, n_modes + 1)])
-    jp = np.array([abs(bessel.bessel_j_prime(0.0, j)) for j in zeros])
-    return LimitBasis(zeros=zeros, jprime=jp)
+    recs = [bessel.bessel_zero(0.0, n) for n in range(1, n_modes + 1)]
+    return LimitBasis(zeros=np.array([r.zero for r in recs]),
+                      jprime=np.array([abs(r.derivative) for r in recs]))

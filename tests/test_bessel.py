@@ -1,14 +1,19 @@
 import functools
+import hashlib
 import math
 
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from degctrl import bessel
 from degctrl.bessel import (SERIES_CUTOFF, bessel_j, bessel_j_many,
                             bessel_j_prime, bessel_zero, gamma_fn,
                             lorch_muldoon_bracket)
-from degctrl.errors import DomainError
+from degctrl.errors import ConvergenceError, DomainError
+from degctrl.spectrum import make_basis
 
 from conftest import bessel_series_oracle, bessel_zero_oracle
 
@@ -236,6 +241,96 @@ class TestZeros:
             bessel_zero(0.75, 1)
         with pytest.raises(DomainError):
             bessel_zero(0.3, 0)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(nu=st.floats(0.0, 0.5), n=st.integers(1, 40))
+    def test_certified_over_documented_domain(self, nu, n):
+        rec = bessel_zero(nu, n)
+        lo, hi = lorch_muldoon_bracket(nu, n)
+        assert rec.bracket == (lo, hi)
+        assert lo - 1e-9 <= rec.zero <= hi + 1e-9
+        assert abs(bessel_j(nu, rec.zero).value) < 1e-12
+        assert abs(scipy.special.jv(nu, rec.zero)) < 5e-12
+        # the carried derivative is the recurrence's, bit for bit
+        assert rec.derivative == bessel_j_prime(nu, rec.zero)
+        assert abs(rec.derivative - scipy.special.jvp(nu, rec.zero)) < 1e-13
+
+    def test_escaped_iterate_raises(self, monkeypatch):
+        # a J_{nu+1} that makes J'_nu nearly vanish sends Newton far away
+        exact = bessel._eval_any_order
+
+        def flat_derivative(order, x):
+            if order < 1.0:
+                return exact(order, x)
+            nu = order - 1.0
+            return ((nu / x) * exact(nu, x)[0] - 1e-9, 0.0, "series")
+
+        monkeypatch.setattr(bessel, "_eval_any_order", flat_derivative)
+        with pytest.raises(ConvergenceError, match="escaped the bracket"):
+            bessel_zero(0.3, 2)
+
+
+#: float.hex of zeros j_{nu,n} and J'_nu(j_{nu,n}): Miller's regime for
+#: j <= 12.6, Hankel's above
+PINNED_ZEROS = [
+    (0.0, 1, "0x1.33d152e971b3fp+1", "-0x1.09cdb36551280p-1"),
+    (1.0 / 3.0, 2, "0x1.8218871cffcf5p+2", "0x1.4cf394377d0b5p-2"),
+    (0.25, 4, "0x1.85cd8cc008962p+3", "0x1.d45634307c72cp-3"),
+    (0.5, 5, "0x1.f6a7a2955385ep+3", "-0x1.9c4c0200b604fp-3"),
+    (0.1, 12, "0x1.28979c711b1fbp+5", "0x1.0c61e60109328p-3"),
+    (0.45, 40, "0x1.f657676a520bbp+6", "0x1.23a10bc96e400p-4"),
+]
+
+#: float.hex of (C_n, r_n) of make_basis(alpha, N), mode n
+PINNED_MODES = [
+    (0.5, 16, 1, "0x1.4d89f84cd9575p+1", "0x1.a6e2d90b57e57p+0"),
+    (0.5, 16, 3, "0x1.29604806288c6p+2", "0x1.149f9b509adf9p+2"),
+    (0.5, 16, 16, "0x1.5b5765c14c586p+3", "0x1.1c5903fbe719ap+4"),
+    (0.9, 8, 2, "0x1.8fa04804bd746p+1", "0x1.6ff2d2aa0227bp-2"),
+    (0.0, 12, 12, "0x1.5c3fddc92b2e0p+3", "0x1.aa844a84c1452p+5"),
+]
+
+#: float.hex of J_nu(x) in the ascending-series regime x <= 2
+PINNED_SERIES = [
+    (1.0 / 3.0, 0.75, "0x1.7327396600bb5p-1"),
+    (0.0, 2.0, "0x1.ca873fb24cefap-3"),
+    (1.0, 1.25, "0x1.057069774d332p-1"),
+]
+
+
+#: sha256 of the lines "<zero hex> <J' hex>" of j_{nu,n}, nu = 0, 0.01,
+#: ..., 0.5 (np.linspace) and n = 1..40, nu outermost
+ZERO_TABLE_SHA256 = "82c48ce43f72de46b95af83a6e6a9b8ba05964ed52a9fdf1031bb3d7b3c3cb0f"
+
+
+class TestPinnedBits:
+    """Values recorded bit for bit; a change that moves one bit fails here."""
+
+    def test_zero_table_digest(self):
+        digest = hashlib.sha256()
+        for nu in np.linspace(0.0, 0.5, 51):
+            for n in range(1, 41):
+                rec = bessel_zero(float(nu), n)
+                digest.update(f"{rec.zero.hex()} {rec.derivative.hex()}\n".encode())
+        assert digest.hexdigest() == ZERO_TABLE_SHA256
+
+    @pytest.mark.parametrize("nu, n, zero, derivative", PINNED_ZEROS)
+    def test_zeros(self, nu, n, zero, derivative):
+        rec = bessel_zero(nu, n)
+        assert rec.zero.hex() == zero
+        assert rec.derivative.hex() == derivative
+
+    @pytest.mark.parametrize("alpha, n_modes, n, norm_const, trace", PINNED_MODES)
+    def test_modes(self, alpha, n_modes, n, norm_const, trace):
+        mode = make_basis(alpha, n_modes).modes[n - 1]
+        assert float(mode.norm_const).hex() == norm_const
+        assert float(mode.neumann_trace).hex() == trace
+
+    @pytest.mark.parametrize("nu, x, value", PINNED_SERIES)
+    def test_series_values(self, nu, x, value):
+        ev = bessel_j(nu, x)
+        assert ev.method == "series"
+        assert ev.value.hex() == value
 
 
 def landau_bound(nu, xs):

@@ -163,11 +163,11 @@ class TestBuild:
         with pytest.raises(AccuracyError):
             build_biortho(LAPLACE_LAMBDAS, 1.0, tol=1e-18)
 
-    def test_svd_fallback_on_singular_matrix(self):
+    def test_singular_gram_raises_accuracy_error(self):
         G = np.array([[1.0, 1.0], [1.0, 1.0]])
         b = np.array([[1.0], [1.0]])
-        x = _solve_spd(G, b)
-        assert np.allclose(G @ x, b, atol=1e-12)
+        with pytest.raises(AccuracyError, match="not positive definite"):
+            _solve_spd(G, b)
 
     def test_json_export(self):
         fam = build_biortho(LAPLACE_LAMBDAS[:4], 1.0)

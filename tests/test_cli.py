@@ -92,6 +92,16 @@ class TestSynthesizeCommand:
                         "--target", "mode:2", "--out-dir", str(tmp_path)])
         assert code == 0
 
+    def test_negative_fitted_k_is_a_numerical_failure(self, tmp_path, capsys):
+        # no --reach-K: the fit over 6 modes at T = 0.05 gives K < 0
+        code = run_cli(["synthesize", "--alpha", "0.5", "--modes", "6",
+                        "--horizon", "0.05", "--u0", "mode:1",
+                        "--target", "mode:1", "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("numerical failure:")
+        assert "--reach-K" in err
+
     def test_stiff_target_fails_numerically(self, tmp_path, capsys):
         code = run_cli(["synthesize", "--alpha", "0", "--modes", "10",
                         "--horizon", "1", "--u0", "mode:1",

@@ -33,6 +33,8 @@ CONFIGS = {
     # N = 16: most zeros lie in the Hankel regime above x = 12.6
     "spectrum_a03_n16": ["spectrum", "--alpha", "0.3", "--modes", "16"],
     "spectrum_a09_n16": ["spectrum", "--alpha", "0.9", "--modes", "16"],
+    # N = 40: zeros up to x ~ 125, deep in the Hankel regime
+    "spectrum_a07_n40": ["spectrum", "--alpha", "0.7", "--modes", "40"],
     "biortho_a05_n8": ["biortho", "--alpha", "0.5", "--modes", "8"],
     "biortho_a09_n10_t2": ["biortho", "--alpha", "0.9", "--modes", "10",
                            "--horizon", "2"],
