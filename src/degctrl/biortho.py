@@ -35,7 +35,9 @@ all live at the terminal-state scale and are the quantities that actually
 bound the damage a family defect can do to a controlled trajectory.
 Residuals are recomputed by independent quadrature on the 32 x 32 Gauss
 rule (factored, long double throughout; see ``_quadrature_gram``), never
-from the closed-form Gram identities used in assembly.
+from the closed-form Gram identities used in assembly. The rule is reused
+on a prefix or an extension of the last exponents at the same T, bit for
+bit: each of its elements depends only on T and its own exponents.
 
 Norms satisfy ||sigma_n|| e^{lambda_n T} = ||tilde_sigma_n|| = sqrt(a[n][n]),
 so the growth profile B_T e^{K sqrt(lambda_n)} of the family can be fitted
@@ -89,18 +91,46 @@ def _solve_spd(G: np.ndarray, B: np.ndarray) -> np.ndarray:
     return X * d[:, None]
 
 
+#: (T, exponents, [P | Q], Q W, M) of the rule _quadrature_gram evaluated
+#: last, read-only arrays; replaced, never mutated
+_last_rule = (np.nan, np.zeros(0), np.zeros((0, 64), dtype=_LD),
+              np.zeros((0, 32), dtype=_LD), np.zeros((0, 0), dtype=_LD))
+
+
 def _quadrature_gram(lambdas_full: np.ndarray, T: float) -> np.ndarray:
     """M[j][k] ~ int_0^T e^{-(lambda_j + lambda_k) s} ds on the 32 x 32 rule
     from long-double point values, sharing nothing with the closed form.
     A node is s = i h + (1 + x_q) h/2 with h = T/32, so the rule's sum is
     (P P^T) o (Q W Q^T) with P[k, i] = e^{-lambda_k i h}, W = diag(w_q h/2),
     Q[k, q] = e^{-lambda_k (1 + x_q) h/2}: 64 exponentials a row, not 1024.
+
+    The last call's rule is kept: at the same T a prefix of its exponents
+    slices M, and an extension evaluates only new rows and M's new borders
+    (the upper one as such: M is not bitwise symmetric). numpy's long-double
+    exp and matmul give each element the same bits whatever the array's shape.
     """
+    global _last_rule
+    lam = np.array(lambdas_full, dtype=float)
+    kT, klam, kPQ, kQw, kM = _last_rule   # one read: another thread may replace it
+    p = min(len(lam), len(klam))
+    if not (kT == T and p and lam[p - 1] == klam[p - 1]
+            and (lam[:p] == klam[:p]).all()):
+        p = 0
+    if p == len(lam):
+        return kM[:p, :p]
     h = _LD(T) / 32
-    lam = np.asarray(lambdas_full, dtype=_LD)[:, None]
-    P = np.exp(-lam * (h * np.arange(32, dtype=_LD)))
-    Q = np.exp(-lam * (h / 2 * (_XG + 1)))
-    return (P @ P.T) * ((Q * (h / 2 * _WG)) @ Q.T)
+    nodes = np.concatenate([h * np.arange(32, dtype=_LD), h / 2 * (_XG + 1)])
+    PQ = np.concatenate([kPQ[:p], np.exp(-lam[p:, None].astype(_LD) * nodes)])
+    P, Q = PQ[:, :32], PQ[:, 32:]
+    Qw = np.concatenate([kQw[:p], Q[p:] * (h / 2 * _WG)])
+    M = (P[p:] @ P.T) * (Qw[p:] @ Q.T)
+    if p:   # the kept block and the new border above the diagonal
+        top = (P[:p] @ P[p:].T) * (Qw[:p] @ Q[p:].T)
+        M = np.concatenate([np.concatenate([kM[:p, :p], top], axis=1), M])
+    for arr in (lam, PQ, Qw, M):
+        arr.flags.writeable = False
+    _last_rule = (T, lam, PQ, Qw, M)
+    return M
 
 
 @dataclass(frozen=True)
@@ -136,9 +166,15 @@ class BiorthogonalFamily:
         """int_0^T sigma_n dt = e^{-lambda_n T} R[n][0], exactly."""
         return np.exp(-self.lambdas * self.T) * self.residual[:, 0]
 
+    def _column(self, n: int) -> np.ndarray:
+        """Coefficients a[n][:] of tilde_sigma_n; ``UsageError`` unless 1 <= n <= N."""
+        if not 1 <= n <= self.n_modes:
+            raise UsageError(f"sigma index {n} outside 1..{self.n_modes}")
+        return self.coeffs_reflected[:, n - 1]
+
     def sigma_tilde_norm(self, n: int) -> float:
         """||tilde_sigma_n||_{L2} = ||sigma_n|| e^{lambda_n T} = sqrt(a[n][n])."""
-        a_nn = self.coeffs_reflected[n, n - 1]
+        a_nn = self._column(n)[n]
         if a_nn < 0.0:
             raise AccuracyError(f"computed ||sigma_{n}||^2 is negative: {a_nn}")
         return float(np.sqrt(a_nn))
@@ -148,7 +184,7 @@ class BiorthogonalFamily:
         scalar = np.isscalar(s)
         s = np.atleast_1d(np.asarray(s, dtype=float))
         E = np.exp(-self.lambdas_full[None, :] * s[:, None])
-        vals = E @ self.coeffs_reflected[:, n - 1]
+        vals = E @ self._column(n)
         return float(vals[0]) if scalar else vals
 
     def to_json_dict(self) -> dict:
@@ -170,13 +206,12 @@ def eval_sigma(fam: BiorthogonalFamily, n: int, t) -> np.ndarray | float:
     exponent is <= 0 on [0, T], so no overflow can occur. True values
     below double range underflow to 0.
     """
-    if not 1 <= n <= fam.n_modes:
-        raise UsageError(f"sigma index {n} outside 1..{fam.n_modes}")
+    coeffs = fam._column(n)
     scalar = np.isscalar(t)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     scale = fam.lambdas[n - 1] * fam.T
     expo = fam.lambdas_full[None, :] * (t[:, None] - fam.T) - scale
-    vals = np.exp(expo) @ fam.coeffs_reflected[:, n - 1]
+    vals = np.exp(expo) @ coeffs
     return float(vals[0]) if scalar else vals
 
 

@@ -128,11 +128,11 @@ def _exp_growth_terms(muT: np.ndarray, lambdas: np.ndarray, T: float) -> np.ndar
     return out
 
 
-def _closed_norms(weights: np.ndarray, lambdas_full: np.ndarray, T: float):
-    """(||g||_L2, ||G||_L2, (A, B)) from exponential integrals."""
-    G0 = exponential_gram(lambdas_full, T)
+def _closed_norms(weights: np.ndarray, fam: BiorthogonalFamily):
+    """(||g||_L2, ||G||_L2, (A, B)) from exponential integrals on ``fam.gram``."""
+    G0, T = fam.gram, fam.T
     ng2 = float(weights @ G0 @ weights)
-    lam = lambdas_full[1:]
+    lam = fam.lambdas_full[1:]
     q = weights[1:] / lam
     a = -float(np.dot(q, np.exp(-lam * T)))
     b = float(weights[0])
@@ -173,7 +173,7 @@ def synthesize(basis: SpectralBasis, fam: BiorthogonalFamily,
     with np.errstate(under="ignore"):
         w = fam.coeffs_reflected @ (d * np.exp(-lam * T))
 
-    ng, nG, affine = _closed_norms(w, fam.lambdas_full, T)
+    ng, nG, affine = _closed_norms(w, fam)
     norms = {"g_l2": ng, "G_l2": nG,
              "G_h1": float(np.sqrt(ng * ng + nG * nG))}
     check = _norm_quadrature_check(w, fam.lambdas_full, affine, T, norms)

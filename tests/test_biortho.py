@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from degctrl import biortho
 from degctrl.biortho import (DEFAULT_TOL, _quadrature_gram, _solve_spd,
                              bound_profile, build_biortho, eval_sigma,
                              exponential_gram)
@@ -52,6 +53,15 @@ def unfactored_quadrature_gram(lambdas_full, T):
     return (E * w.astype(np.longdouble)) @ E.T
 
 
+def factored_quadrature_gram(lambdas_full, T):
+    """The certificate's factored rule evaluated afresh, keeping nothing."""
+    h = np.longdouble(T) / 32
+    lam = np.asarray(lambdas_full, dtype=np.longdouble)[:, None]
+    P = np.exp(-lam * (h * np.arange(32, dtype=np.longdouble)))
+    Q = np.exp(-lam * (h / 2 * (biortho._XG + 1)))
+    return (P @ P.T) * ((Q * (h / 2 * biortho._WG)) @ Q.T)
+
+
 class TestQuadratureGram:
     # T = 0.7 is not dyadic: its nodes i h + (1 + x_q) h/2 round differently
     # in the factored and the node-by-node evaluation
@@ -63,6 +73,31 @@ class TestQuadratureGram:
         ref = unfactored_quadrature_gram(lams_full, T)
         assert M.dtype == np.longdouble
         assert np.max(np.abs(M - ref) / np.abs(ref)) <= 1e-16
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("T", [0.5, 0.7, 2.0])
+    def test_kept_rule_matches_fresh_evaluation(self, alpha, T):
+        # the kept rule serves prefixes and extends to longer sets; every
+        # request order, a change of T and a set that is not a prefix of
+        # the kept one must give the fresh bits
+        lams_full = np.concatenate([[0.0], make_basis(alpha, 16).eigenvalues])
+        ladder = list(range(1, 17))
+        shuffled = np.random.default_rng(17).permutation(ladder)
+        requests = ([(lams_full[:n + 1], T) for n in ladder]
+                    + [(lams_full[:n + 1], T) for n in ladder[::-1]]
+                    + [(lams_full[:13], 2.0 * T), (lams_full, T),
+                       (np.delete(lams_full, 5), T), (lams_full[:9], T)]
+                    + [(lams_full[:n + 1], T) for n in shuffled])
+        for lf, t in requests:
+            M = _quadrature_gram(lf, t)
+            assert np.array_equal(M, factored_quadrature_gram(lf, t)), (len(lf), t)
+
+    def test_kept_rule_is_read_only(self):
+        lams_full = np.concatenate([[0.0], make_basis(0.5, 8).eigenvalues])
+        M = _quadrature_gram(lams_full, 1.0)
+        for arr in (M, _quadrature_gram(lams_full[:5], 1.0), *biortho._last_rule[1:]):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_prefix_grams_are_leading_blocks(self):
         # the Gram of a prefix is the full Gram's leading block bit for bit
@@ -203,6 +238,17 @@ class TestEvalSigma:
         fam = build_biortho(LAPLACE_LAMBDAS[:3], 1.0)
         with pytest.raises(UsageError):
             eval_sigma(fam, 4, 0.5)
+
+    @pytest.mark.parametrize("n", [0, -1, 7])
+    def test_index_validation_of_methods(self, n):
+        # N = 6: n = 0 and n = -1 would index columns from the end, n = 7 past it
+        fam = build_biortho(make_basis(0.5, 6).eigenvalues, 1.0)
+        with pytest.raises(UsageError):
+            fam.sigma_tilde_norm(n)
+        with pytest.raises(UsageError):
+            fam.eval_sigma_reflected(n, 0.5)
+        with pytest.raises(UsageError):
+            eval_sigma(fam, n, 0.5)
 
 
 class TestMinNorm:

@@ -69,6 +69,9 @@ CONFIGS = {
     # alpha = 0.9 no N passes
     "cost_sweep_t002_backoff": ["cost-sweep", "--alphas", "0,0.9", "--modes", "8",
                                 "--horizon", "0.02", "--u0", "mode:1"],
+    # N = 12 is rejected at both alphas; the N = 11 retry reuses its rule
+    "cost_sweep_n12_backoff": ["cost-sweep", "--alphas", "0.3,0.6", "--modes", "12",
+                               "--u0", "mode:1"],
     "cost_sweep_csv_state": ["cost-sweep", "--alphas", "0.3", "--modes", "6",
                              "--u0", "csv:profile.csv"],
     "verify_a0_n8": ["verify", "--alpha", "0", "--modes", "8"],
