@@ -18,8 +18,7 @@ from .cost import (CostPoint, CostReport, CostUpper, cost_lower, cost_sweep,
 from .errors import (AccuracyError, ConditioningError, ConvergenceError,
                      DegctrlError, DomainError, QuadratureError,
                      TargetStiffnessError, UsageError)
-from .simulate import (TerminalError, Trajectory, evolve, reconstruct_state,
-                       terminal_error)
+from .simulate import TerminalError, Trajectory, evolve, terminal_error
 from .spectrum import (LimitBasis, Mode, MomentVector, SpectralBasis,
                        eval_eigenfunction, gram_matrix, make_basis,
                        make_limit_basis, neumann_trace_numeric, project,
@@ -39,8 +38,7 @@ __all__ = [
     "cost_sweep", "cost_upper", "eval_eigenfunction", "eval_sigma", "evolve",
     "exponential_gram", "gamma_fn", "gram_matrix", "make_basis",
     "make_limit_basis", "moment_residual", "neumann_trace_numeric",
-    "null_control", "project", "reachability_score", "reconstruct_state",
-    "resolve_u0", "source_coefficient", "source_coefficient_quadrature",
-    "synthesize", "terminal_error", "trace_asymptotic_prefactor",
-    "unit_moment", "verify",
+    "null_control", "project", "reachability_score", "resolve_u0",
+    "source_coefficient", "source_coefficient_quadrature", "synthesize",
+    "terminal_error", "trace_asymptotic_prefactor", "unit_moment", "verify",
 ]

@@ -117,8 +117,6 @@ class BesselEval:
     it adds an a-priori float64 rounding bound (``_series_eval``).
     """
 
-    order: float
-    argument: float
     value: float
     method: str          # "series" | "asymptotic"
     est_error: float
@@ -201,8 +199,7 @@ def bessel_j(nu: float, x: float) -> BesselEval:
     if not 0.0 <= nu <= 1.0:
         raise DomainError(f"order must lie in [0, 1], got {nu}")
     value, est, method = _eval_any_order(nu, x)
-    return BesselEval(order=nu, argument=x, value=value, method=method,
-                      est_error=est)
+    return BesselEval(value=value, method=method, est_error=est)
 
 
 def bessel_j_prime(nu: float, x: float) -> float:
@@ -323,11 +320,9 @@ class ZeroRecord:
 
     ``bracket`` is the Lorch-Muldoon enclosure the zero was certified
     against; ``newton_iters`` counts Newton corrections actually taken;
-    ``derivative`` is J'_nu(zero), bit for bit ``bessel_j_prime(order, zero)``.
+    ``derivative`` is J'_nu(zero), bit for bit ``bessel_j_prime(nu, zero)``.
     """
 
-    order: float
-    index: int
     zero: float
     newton_iters: int
     bracket: tuple[float, float]
@@ -389,5 +384,5 @@ def bessel_zero(nu: float, n: int) -> ZeroRecord:
             f"{abs(best_f):.3e} >= {ZERO_TOL} after {iters} Newton steps "
             f"(bracket [{lo}, {hi}])")
     fp = (nu / best_x) * best_f - _eval_any_order(nu + 1.0, best_x)[0]
-    return ZeroRecord(order=nu, index=n, zero=best_x, newton_iters=iters,
-                      bracket=(lo, hi), derivative=fp)
+    return ZeroRecord(zero=best_x, newton_iters=iters, bracket=(lo, hi),
+                      derivative=fp)

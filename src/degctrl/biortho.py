@@ -145,13 +145,17 @@ class BiorthogonalFamily:
     """
 
     T: float
-    lambdas: np.ndarray          # lambda_1..lambda_N
     lambdas_full: np.ndarray     # 0, lambda_1..lambda_N
     coeffs_reflected: np.ndarray  # shape (N+1, N)
     gram_condition: float
     residual: np.ndarray         # shape (N, N+1)
     tol: float
     gram: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def lambdas(self) -> np.ndarray:
+        """lambda_1..lambda_N, a view of ``lambdas_full``."""
+        return self.lambdas_full[1:]
 
     @property
     def n_modes(self) -> int:
@@ -255,7 +259,7 @@ def build_biortho(lambdas, T: float, tol: float = DEFAULT_TOL) -> BiorthogonalFa
         raise AccuracyError(
             f"biorthogonality residual {np.max(np.abs(resid)):.3e} exceeds "
             f"tol {tol:.1e} after refinement (N={n}, T={T}, cond={cond:.2e})")
-    return BiorthogonalFamily(T=float(T), lambdas=lam, lambdas_full=lams_full,
+    return BiorthogonalFamily(T=float(T), lambdas_full=lams_full,
                               coeffs_reflected=A, gram_condition=cond,
                               residual=resid, tol=tol, gram=G)
 

@@ -21,9 +21,10 @@ import numpy as np
 from ._fmt import write_csv, write_json
 from .biortho import bound_profile, build_biortho
 from .control import moment_residual, reachability_score, synthesize
-from .cost import BOUNDARY_TOL, cost_sweep, null_control, resolve_u0, verify
+from .cost import (ZERO_MEAN_TOL, _synthesis_checks, cost_sweep, null_control,
+                   resolve_u0, verify)
 from .errors import AccuracyError, DegctrlError, DomainError, UsageError
-from .spectrum import MomentVector, make_basis
+from .spectrum import MomentVector, make_basis, make_limit_basis
 
 #: every option in --help order: config-file key -> (type, default,
 #: subcommands taking it as a flag, None meaning all); the resolved
@@ -144,7 +145,6 @@ def _cmd_spectrum(cfg) -> int:
     alpha = _need_alpha(cfg)
     n = cfg["modes"]
     if alpha == 1.0:
-        from .spectrum import make_limit_basis
         lb = make_limit_basis(n)
         lams = (0.5 * lb.zeros) ** 2
         payload = {"alpha": 1.0, "limit_basis": True,
@@ -169,14 +169,14 @@ def _cmd_spectrum(cfg) -> int:
 
 def _cmd_biortho(cfg) -> int:
     _, fam = _family(cfg)
-    prof = bound_profile(fam) if fam.n_modes >= 3 else None
     payload = fam.to_json_dict()
-    if prof is not None:
+    if fam.n_modes >= 3:
+        prof = bound_profile(fam)
         payload["bound_profile"] = {"K": prof.K, "log_B": prof.log_B,
                                     "fit_rel_rms": prof.fit_rel_rms}
     _write_json(cfg, "biortho.json", payload)
     # build_biortho raises unless residual_max <= tol
-    ok = np.max(np.abs(fam.zero_mean_values)) <= 1e-8
+    ok = np.max(np.abs(fam.zero_mean_values)) <= ZERO_MEAN_TOL
     print(f"residual_max = {fam.residual_max:.3e}, cond = {fam.gram_condition:.3e}"
           f" | {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
@@ -203,10 +203,11 @@ def _cmd_synthesize(cfg) -> int:
     res = moment_residual(basis, sig, mu0, muT)
     sig.save_json(_out(cfg, "control.json"))
     sig.save_csv(_out(cfg, "control_samples.csv"))
-    ok = (np.max(np.abs(res)) <= cfg["tol"]
-          and abs(sig.terminal_value) <= BOUNDARY_TOL)
-    print(f"||G||_H1 = {sig.norms['G_h1']:.6g}, |G(T)| = {abs(sig.terminal_value):.2e}, "
-          f"moment residual {np.max(np.abs(res)):.2e} | {'PASS' if ok else 'FAIL'}")
+    checks = _synthesis_checks(sig, res, cfg["tol"])
+    (_, resid, _), (_, g_T, _) = checks
+    ok = all(value <= limit for _, value, limit in checks)
+    print(f"||G||_H1 = {sig.norms['G_h1']:.6g}, |G(T)| = {g_T:.2e}, "
+          f"moment residual {resid:.2e} | {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 

@@ -61,7 +61,6 @@ class ControlSignal:
     affine: tuple[float, float]
     norms: dict
     norm_check_rel: float
-    basis_id: str
 
     @property
     def n_modes(self) -> int:
@@ -183,8 +182,7 @@ def synthesize(basis: SpectralBasis, fam: BiorthogonalFamily,
             f"relative (> 1e-6)")
     return ControlSignal(T=T, alpha=basis.alpha, d=d,
                          lambdas_full=fam.lambdas_full, weights=w,
-                         affine=affine, norms=norms, norm_check_rel=check,
-                         basis_id=basis.basis_id)
+                         affine=affine, norms=norms, norm_check_rel=check)
 
 
 def _norm_quadrature_check(weights, lambdas_full, affine, T, norms) -> float:

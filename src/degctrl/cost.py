@@ -26,8 +26,9 @@ drives the blow-up constant; elsewhere the bound maximizes over all modes.
 Scaled products (1-alpha) * upper and (1-alpha) * lower trace the
 two-sided 1/(1-alpha) blow-up law; ``cost_sweep`` reports both bands.
 
-``verify`` checks every stage of that chain, the ``null_control``
-oracles included, so every check limit lives in this module.
+``verify`` checks every stage of that chain. Its limits live here, but for
+the zero and gap slacks of ``bessel`` and ``spectrum`` and ``ORACLE_TOL``,
+which ``simulate`` keeps because ``evolve`` warns with it.
 """
 
 from __future__ import annotations
@@ -44,14 +45,15 @@ from .control import moment_residual, synthesize
 from .errors import AccuracyError, DomainError, UsageError
 from .quadrature import panel_rule
 from .simulate import ORACLE_TOL, evolve
-from .spectrum import (MomentVector, SpectralBasis, gram_matrix, make_basis,
-                       make_limit_basis, neumann_trace_numeric, project,
-                       source_coefficient, source_coefficient_quadrature,
-                       unit_moment)
+from .spectrum import (_GAP_SLACK, MomentVector, SpectralBasis, gram_matrix,
+                       make_basis, make_limit_basis, neumann_trace_numeric,
+                       project, source_coefficient,
+                       source_coefficient_quadrature, unit_moment)
 
 _MIN_RETRY_N = 4
 TERMINAL_TOL = 1e-5
 BOUNDARY_TOL = 1e-8
+ZERO_MEAN_TOL = 1e-8
 _LIMIT_COEFF_FLOOR = 1e-8
 
 
@@ -135,13 +137,18 @@ def null_control(basis: SpectralBasis, fam: BiorthogonalFamily,
     signal = synthesize(basis, fam, mu0, muT)
     res = moment_residual(basis, signal, mu0, muT)
     traj = evolve(basis, mu0, signal, grid_size=grid_size)
-    checks = (
-        ("moment_residuals", float(np.max(np.abs(res))), tol),
-        ("boundary_return", abs(signal.terminal_value), BOUNDARY_TOL),
+    checks = _synthesis_checks(signal, res, tol) + (
         ("terminal_state", float(np.max(np.abs(traj.terminal))), TERMINAL_TOL),
         ("propagation_oracle", traj.oracle_deviation, ORACLE_TOL),
     )
     return signal, res, traj, checks
+
+
+def _synthesis_checks(signal, residuals, tol: float):
+    """Moment residuals (limit ``tol``) and |G(T)| as ``(name, value, limit)``,
+    each passing when value <= limit, so never on NaN."""
+    return (("moment_residuals", float(np.max(np.abs(residuals))), tol),
+            ("boundary_return", abs(signal.terminal_value), BOUNDARY_TOL))
 
 
 def verify(basis: SpectralBasis, fam: BiorthogonalFamily, mu0: MomentVector,
@@ -161,14 +168,15 @@ def verify(basis: SpectralBasis, fam: BiorthogonalFamily, mu0: MomentVector,
         checks.append({"name": name, "passed": bool(passed), "metric": metric})
 
     record("gap_certificate",
-           basis.gap["sqrt_lambda_1"] >= basis.gap["first_bound"] - 1e-12
-           and basis.gap["min_gap"] >= basis.gap["gap_bound"] - 1e-12,
+           basis.gap["sqrt_lambda_1"] >= basis.gap["first_bound"] - _GAP_SLACK
+           and basis.gap["min_gap"] >= basis.gap["gap_bound"] - _GAP_SLACK,
            basis.gap["min_gap"])
 
     resid = max(abs(bessel.bessel_j(basis.nu, m.zero).value) for m in basis.modes)
-    brackets = all(lo - 1e-9 <= m.zero <= hi + 1e-9 for m in basis.modes
+    slack = bessel._BRACKET_SLACK
+    brackets = all(lo - slack <= m.zero <= hi + slack for m in basis.modes
                    for lo, hi in [bessel.lorch_muldoon_bracket(basis.nu, m.index)])
-    record("zero_certification", resid < 1e-12 and brackets, resid)
+    record("zero_certification", resid < bessel.ZERO_TOL and brackets, resid)
 
     gram_dev = float(np.max(np.abs(gram_matrix(basis) - np.eye(n))))
     record("orthonormality", gram_dev < 1e-8, gram_dev)
@@ -184,7 +192,7 @@ def verify(basis: SpectralBasis, fam: BiorthogonalFamily, mu0: MomentVector,
 
     zm = float(np.max(np.abs(fam.zero_mean_values)))
     record("biorthogonality", fam.residual_max <= tol, fam.residual_max)
-    record("zero_mean", zm <= 1e-8, zm)
+    record("zero_mean", zm <= ZERO_MEAN_TOL, zm)
 
     # min-norm: constraint-respecting perturbations cannot shrink the norm
     mids = 0.5 * (fam.lambdas[:-1] + fam.lambdas[1:])
@@ -305,7 +313,7 @@ def cost_lower(alpha: float, u0: MomentVector, T: float,
         stable = lc >= _LIMIT_COEFF_FLOOR * max(np.max(lc), _LIMIT_COEFF_FLOOR)
         if np.any(stable):
             return float(np.max(bounds[stable]))
-    return float(np.max(bounds)) if len(bounds) else 0.0
+    return float(np.max(bounds))
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,6 @@ the step's right end so that no factor exceeds 1 however large lambda h
 is. On the uniform grid that rule is one (N+1) x N matrix for every
 step, and a doubling scan runs the recursion. No working array is much
 larger than the N x (grid+1) trajectory.
-
-The physical state is recovered as u(x,t) = v(x,t) + (1 - x^{1-a}) G(t);
-since G(T) vanishes for synthesized controls, terminal u and terminal v
-coincide.
 """
 
 from __future__ import annotations
@@ -48,7 +44,7 @@ import numpy as np
 from ._fmt import write_csv
 from .control import ControlSignal
 from .errors import DomainError, UsageError
-from .spectrum import MomentVector, SpectralBasis, eval_eigenfunction
+from .spectrum import MomentVector, SpectralBasis
 
 ORACLE_TOL = 1e-6
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(12)
@@ -70,7 +66,6 @@ class Trajectory:
     u_coeffs: np.ndarray
     oracle_deviation: float
     alpha: float
-    lambdas: np.ndarray
 
     @property
     def n_modes(self) -> int:
@@ -167,8 +162,7 @@ def evolve(basis: SpectralBasis, u0: MomentVector, signal: ControlSignal,
     G_trace = signal.G_from_exponentials(t, E)
     u_coeffs = v + (basis.neumann_traces / basis.eigenvalues)[:, None] * G_trace[None, :]
     return Trajectory(t=t, v=v, G_trace=G_trace, u_coeffs=u_coeffs,
-                      oracle_deviation=deviation, alpha=basis.alpha,
-                      lambdas=basis.eigenvalues)
+                      oracle_deviation=deviation, alpha=basis.alpha)
 
 
 @dataclass(frozen=True)
@@ -187,20 +181,3 @@ def terminal_error(traj: Trajectory, muT: MomentVector) -> TerminalError:
     res = traj.terminal - muT.coefficients
     return TerminalError(per_mode=res, aggregate=float(np.linalg.norm(res)))
 
-
-def reconstruct_state(basis: SpectralBasis, traj: Trajectory, t: float,
-                      xs) -> np.ndarray:
-    """u(x, t) = sum_n v_n(t) Phi_n(x) + (1 - x^{1-a}) G(t) at grid time t.
-
-    u(0, t) = G(t) and u(1, t) = 0 up to series truncation.
-    """
-    idx = np.flatnonzero(np.isclose(traj.t, t, rtol=0.0, atol=1e-12))
-    if len(idx) == 0:
-        raise UsageError(f"t={t} is not on the trajectory grid")
-    j = int(idx[0])
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    out = np.full(xs.shape, traj.G_trace[j] * 0.0)
-    for i in range(traj.n_modes):
-        out += traj.v[i, j] * eval_eigenfunction(basis, i + 1, xs)
-    out += (1.0 - xs ** (1.0 - basis.alpha)) * traj.G_trace[j]
-    return out

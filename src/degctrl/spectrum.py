@@ -44,6 +44,7 @@ from .quadrature import panel_rule
 
 GAP_FIRST = 3.0 * np.pi / 8.0
 GAP_CONSECUTIVE = 7.0 * np.pi / 16.0
+_GAP_SLACK = 1e-12
 
 DEFAULT_PANELS = 8
 DEFAULT_NODES = 64
@@ -156,7 +157,7 @@ def _certified_basis(alpha, nu, kappa, modes) -> SpectralBasis:
         "min_gap": float(np.min(gaps)) if len(gaps) else float("inf"),
         "gap_bound": GAP_CONSECUTIVE,
     }
-    if sq[0] < GAP_FIRST - 1e-12 or (len(gaps) and np.min(gaps) < GAP_CONSECUTIVE - 1e-12):
+    if sq[0] < GAP_FIRST - _GAP_SLACK or (len(gaps) and np.min(gaps) < GAP_CONSECUTIVE - _GAP_SLACK):
         raise DomainError(f"uniform gap certificate violated: {gap}")
     return SpectralBasis(alpha=alpha, nu=nu, kappa=kappa, modes=tuple(modes),
                          p0=1.0 / (1.0 - alpha), gap=gap)
@@ -257,7 +258,6 @@ def project(basis: SpectralBasis, f, panels: int = DEFAULT_PANELS,
     ``f`` must accept an ndarray of points in [0, 1]. The quadrature error
     is estimated by doubling the panel count; estimates above ``tol``
     raise ``QuadratureError`` rather than passing silently.
-    J_nu is evaluated once per (nu, zeros, panels), kept for the last few bases.
     """
     coarse = _project_once(basis, f, panels)
     fine = _project_once(basis, f, 2 * panels)
@@ -309,7 +309,6 @@ def source_coefficient_quadrature(basis: SpectralBasis, n: int) -> float:
     """Independent quadrature of int (1 - x^{1-a}) Phi_n dx.
 
     In the substituted variable the weight is 1 - y^{2 nu}.
-    J_nu is evaluated once per (nu, zeros, panels), kept for the last few bases.
     """
     y, _, common = _substituted_rule(basis, DEFAULT_PANELS)
     row = _bessel_table(basis.nu, tuple(basis.zeros), DEFAULT_PANELS)[n - 1]
@@ -322,7 +321,6 @@ def gram_matrix(basis: SpectralBasis) -> np.ndarray:
 
     With two eigenfunctions in the integrand the substituted weight is
     exactly y: Phi_m Phi_n dx = (C_m C_n / kappa) y J(j_m y) J(j_n y) dy.
-    J_nu is evaluated once per (nu, zeros, panels), kept for the last few bases.
     """
     y, w = panel_rule(0.0, 1.0, DEFAULT_PANELS, DEFAULT_NODES)
     vals = (basis.norm_consts[:, None]
@@ -346,26 +344,11 @@ class LimitBasis:
     def n_modes(self) -> int:
         return len(self.zeros)
 
-    def eval(self, n: int, x) -> float | np.ndarray:
-        if not 1 <= n <= self.n_modes:
-            raise UsageError(f"mode index {n} outside 1..{self.n_modes}")
-        scalar = np.isscalar(x)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if not np.all((x >= 0.0) & (x <= 1.0)):
-            raise DomainError("eigenfunctions are defined on [0, 1]")
-        vals = bessel.bessel_j_many(0.0, self.zeros[n - 1] * np.sqrt(x)) / self.jprime[n - 1]
-        return float(vals[0]) if scalar else vals
-
     def project(self, f) -> np.ndarray:
         """<f, Phi_n> = (1/|J'_0(j_n)|) int_0^1 2 y f(y^2) J_0(j_n y) dy."""
         y, w = panel_rule(0.0, 1.0, DEFAULT_PANELS, DEFAULT_NODES)
         fy = np.asarray(f(y**2), dtype=float) * 2.0 * y * w
         return (_bessel_table(0.0, tuple(self.zeros), DEFAULT_PANELS) @ fy) / self.jprime
-
-    def gram(self) -> np.ndarray:
-        y, w = panel_rule(0.0, 1.0, DEFAULT_PANELS, DEFAULT_NODES)
-        vals = _bessel_table(0.0, tuple(self.zeros), DEFAULT_PANELS) / self.jprime[:, None]
-        return (vals * (2.0 * y * w)) @ vals.T
 
 
 def make_limit_basis(n_modes: int) -> LimitBasis:

@@ -13,6 +13,8 @@ DELETED = {
     degctrl.BoundProfile: ("margins",),
     degctrl.ReachabilityScore: ("terms",),
     degctrl.BesselEval: ("term_count",),
+    degctrl.simulate: ("reconstruct_state",),
+    degctrl.LimitBasis: ("eval", "gram"),
 }
 
 

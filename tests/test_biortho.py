@@ -119,6 +119,16 @@ class TestBuild:
             fam = build_biortho(make_basis(alpha, 10).eigenvalues, 1.0)
             assert np.max(np.abs(fam.zero_mean_values)) < 1e-8
 
+    def test_caller_exponents_are_not_kept(self):
+        # a family built from a float64 array must not alias it: writing
+        # the caller's array afterwards moves neither lambdas nor zero means
+        lam = make_basis(0.5, 6).eigenvalues.copy()
+        fam = build_biortho(lam, 1.0)
+        zero_means = fam.zero_mean_values.copy()
+        lam[0] = 99.0
+        assert fam.lambdas[0] == fam.lambdas_full[1]
+        assert np.array_equal(fam.zero_mean_values, zero_means)
+
     def test_biorthogonality_by_independent_quadrature(self):
         # all pairs in the reflected (terminal-state) scale; additionally
         # the undamped integrals int sigma_n e^{lambda_m t} dt wherever the

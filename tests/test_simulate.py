@@ -10,10 +10,8 @@ from degctrl.biortho import build_biortho
 from degctrl.control import synthesize
 from degctrl.errors import UsageError
 from degctrl.quadrature import panel_rule
-from degctrl.simulate import (_integrator_modes, evolve, reconstruct_state,
-                              terminal_error)
-from degctrl.spectrum import (MomentVector, eval_eigenfunction, make_basis,
-                              project, unit_moment)
+from degctrl.simulate import _integrator_modes, evolve, terminal_error
+from degctrl.spectrum import MomentVector, make_basis, project, unit_moment
 
 
 def zero_target(basis):
@@ -277,41 +275,6 @@ class TestTerminalError:
         traj = evolve(basis, unit_moment(basis, 1), sig)
         te = terminal_error(traj, zero)
         assert te.per_mode[0] == pytest.approx(math.exp(-math.pi**2), rel=1e-12)
-
-
-@pytest.fixture(scope="module")
-def controlled():
-    basis = make_basis(0.5, 6)
-    fam = build_biortho(basis.eigenvalues, 1.0)
-    mu0 = normalized_bump(basis)
-    sig = synthesize(basis, fam, mu0, zero_target(basis))
-    return basis, mu0, sig, evolve(basis, mu0, sig)
-
-
-class TestReconstruct:
-    def test_right_endpoint_vanishes(self, controlled):
-        basis, _, _, traj = controlled
-        t = traj.t[128]
-        assert abs(reconstruct_state(basis, traj, t, [1.0])[0]) < 1e-10
-
-    def test_left_endpoint_is_boundary_trace(self, controlled):
-        basis, _, sig, traj = controlled
-        t = traj.t[300]
-        val = reconstruct_state(basis, traj, t, [0.0])[0]
-        assert val == pytest.approx(sig.eval_G(t), abs=1e-14)
-
-    def test_initial_time_is_projection(self, controlled):
-        basis, mu0, _, traj = controlled
-        xs = np.linspace(0.05, 0.95, 7)
-        series = sum(mu0.coefficients[i] * eval_eigenfunction(basis, i + 1, xs)
-                     for i in range(6))
-        assert np.allclose(reconstruct_state(basis, traj, 0.0, xs), series,
-                           atol=1e-13)
-
-    def test_off_grid_time_rejected(self, controlled):
-        basis, _, _, traj = controlled
-        with pytest.raises(UsageError):
-            reconstruct_state(basis, traj, 0.123456789, [0.5])
 
 
 class TestExports:

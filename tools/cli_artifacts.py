@@ -41,6 +41,10 @@ CONFIGS = {
     # T = 0.7: the certificate's nodes are inexact, N = 11 near the ceiling
     "biortho_a05_n11_t07": ["biortho", "--alpha", "0.5", "--modes", "11",
                             "--horizon", "0.7"],
+    # T = 0.05: the family certifies (residual 1.2e-7), but its zero-mean
+    # value 7.9e-8 exceeds the 1e-8 limit, so biortho prints FAIL, exit 1
+    "biortho_a05_n6_t005": ["biortho", "--alpha", "0.5", "--modes", "6",
+                            "--horizon", "0.05"],
     # N = 16 at T = 1: the condition gate rejects before any solve
     "biortho_a0_n16_gated": ["biortho", "--alpha", "0", "--modes", "16"],
     "synthesize_a05_bump": ["synthesize", "--alpha", "0.5", "--modes", "8",
