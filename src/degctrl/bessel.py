@@ -26,6 +26,9 @@ for orders 0 to 2, which lets zero residuals |J_nu(j)| < 1e-12 be met near
 x ~ 12; below the switchover each certificate bounds float64 rounding as
 well as truncation. Hankel's term constants are tabulated once, Miller's
 per order for the last few orders; both keep the order of operations.
+``bessel_j_many`` sums Hankel's terms in place and masks only once some
+element has stopped, with every element's operations in the order of a
+plain per-term sum, so a quadrature table costs one short pass per term.
 """
 
 from __future__ import annotations
@@ -220,10 +223,11 @@ def bessel_j_many(nu: float, x: np.ndarray) -> np.ndarray:
 
     Quadrature path: the ascending series for x <= ``_MILLER_FROM``,
     Miller's downward recurrence up to ``SERIES_CUTOFF`` and Hankel's
-    expansion above it. Absolute error is below 6e-16 on [0, 12.6] and
-    ~4e-13 above, ample for the 1e-8 integral tolerances downstream; each
-    value depends only on its own argument, so a table and its rows give
-    identical bits. The scalar ``bessel_j`` is the certified evaluator.
+    expansion above it (``_hankel_many``). Absolute error is below 6e-16
+    on [0, 12.6] and ~4e-13 above, ample for the 1e-8 integral tolerances
+    downstream; each value depends only on its own argument, so a table
+    and its rows give identical bits. The scalar ``bessel_j`` is the
+    certified evaluator.
     """
     if not 0.0 <= nu <= _MAX_ORDER:
         raise DomainError(f"order must lie in [0, {_MAX_ORDER}], got {nu}")
@@ -250,27 +254,43 @@ def bessel_j_many(nu: float, x: np.ndarray) -> np.ndarray:
 
     high = ~(low | mid)
     if np.any(high):
-        xh = x[high]
-        pref = np.sqrt(2.0 / (np.pi * xh))
-        omega = xh - nu * np.pi / 2.0 - np.pi / 4.0
-        p_sum = np.ones_like(xh)
-        q_sum = np.zeros_like(xh)
-        u_prev = np.ones_like(xh)
-        alive = np.ones(xh.shape, dtype=bool)
-        mu = 4.0 * nu * nu
-        for m, sq, eight_m in _HANKEL_TERMS[:39]:
-            u = u_prev * (mu - sq) / (eight_m * xh)
-            alive &= np.abs(u) < np.abs(u_prev)
-            if not np.any(alive):
-                break
-            contrib = np.where(alive, u, 0.0)
-            if m % 2 == 0:
-                p_sum += (-1.0) ** (m // 2) * contrib
-            else:
-                q_sum += (-1.0) ** ((m - 1) // 2) * contrib
-            u_prev = u
-        out[high] = pref * (p_sum * np.cos(omega) - q_sum * np.sin(omega))
+        out[high] = _hankel_many(nu, x[high])
     return out
+
+
+def _hankel_many(nu: float, x: np.ndarray) -> np.ndarray:
+    """Hankel's expansion on a 1-D array above ``SERIES_CUTOFF``, at most 39 terms.
+
+    u_m = u_{m-1} (mu - (2m-1)^2) / (8 m x) enters P (m even) or Q (m odd)
+    with the sign (-1)^floor(m/2); an element takes terms while |u_m| keeps
+    decreasing. On a few thousand elements each numpy call costs more than
+    its arithmetic, so the loop works in buffers and masks only once some
+    element has stopped. Neither sum ever holds -0.0, so skipping a stopped
+    element gives the bits of adding the zero it would have added.
+    """
+    mu = 4.0 * nu * nu
+    p_sum = np.ones_like(x)
+    q_sum = np.zeros_like(x)
+    u = np.ones_like(x)
+    size = np.ones_like(x)    # |u_{m-1}|
+    mag = np.empty_like(x)
+    den = np.empty_like(x)
+    alive = True              # every element still decreasing
+    for m, sq, eight_m in _HANKEL_TERMS[:39]:
+        np.multiply(u, mu - sq, out=u)
+        np.divide(u, np.multiply(eight_m, x, out=den), out=u)
+        np.abs(u, out=mag)
+        shrinking = mag < size
+        if alive is not True or not shrinking.all():
+            alive = shrinking & alive
+            if not alive.any():
+                break
+        total = p_sum if m % 2 == 0 else q_sum
+        (np.add if m % 4 < 2 else np.subtract)(total, u, out=total, where=alive)
+        size, mag = mag, size
+    pref = np.sqrt(2.0 / (np.pi * x))
+    omega = x - nu * np.pi / 2.0 - np.pi / 4.0
+    return pref * (p_sum * np.cos(omega) - q_sum * np.sin(omega))
 
 
 def _miller(nu: float, x):

@@ -259,6 +259,8 @@ def build_biortho(lambdas, T: float, tol: float = DEFAULT_TOL) -> BiorthogonalFa
         raise AccuracyError(
             f"biorthogonality residual {np.max(np.abs(resid)):.3e} exceeds "
             f"tol {tol:.1e} after refinement (N={n}, T={T}, cond={cond:.2e})")
+    for arr in (lams_full, A, resid, G):   # the certificate covers these bits
+        arr.flags.writeable = False
     return BiorthogonalFamily(T=float(T), lambdas_full=lams_full,
                               coeffs_reflected=A, gram_condition=cond,
                               residual=resid, tol=tol, gram=G)

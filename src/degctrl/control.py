@@ -81,8 +81,7 @@ class ControlSignal:
 
     def G_from_exponentials(self, t: np.ndarray, E: np.ndarray) -> np.ndarray:
         """G at t from E[j, k] = e^{lambda_k (t_j - T)} over ``lambdas_full``."""
-        a, b = self.affine
-        return a + b * t + E[:, 1:] @ (self.weights[1:] / self.lambdas_full[1:])
+        return _accumulated(t, E, self.weights, self.lambdas_full, self.affine)
 
     @property
     def terminal_value(self) -> float:
@@ -108,6 +107,13 @@ class ControlSignal:
         t = np.linspace(0.0, self.T, samples)
         write_csv(path, ("t", "g", "G"),
                   np.column_stack((t, self.eval_g(t), self.eval_G(t))).tolist())
+
+
+def _accumulated(t, E, weights, lambdas_full, affine) -> np.ndarray:
+    """G(t) = A + B t + sum_{k>=1} (w_k / lambda_k) e^{lambda_k (t-T)} from
+    E[j, k] = e^{lambda_k (t_j - T)}."""
+    a, b = affine
+    return a + b * t + E[:, 1:] @ (weights[1:] / lambdas_full[1:])
 
 
 def _exp_growth_terms(muT: np.ndarray, lambdas: np.ndarray, T: float) -> np.ndarray:
@@ -193,8 +199,7 @@ def _norm_quadrature_check(weights, lambdas_full, affine, T, norms) -> float:
     t, w = panel_rule(0.0, T, 8, 64)
     E = np.exp(lambdas_full[None, :] * (t[:, None] - T))
     g = E @ weights
-    a, b = affine
-    G = a + b * t + E[:, 1:] @ (weights[1:] / lambdas_full[1:])
+    G = _accumulated(t, E, weights, lambdas_full, affine)
     ng = np.sqrt(np.dot(w, g**2))
     nG = np.sqrt(np.dot(w, G**2))
     return float(max(abs(ng - norms["g_l2"]), abs(nG - norms["G_l2"])) / scale)

@@ -33,8 +33,9 @@ facts are rechecked numerically on every constructed basis and recorded in
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -163,6 +164,11 @@ def _certified_basis(alpha, nu, kappa, modes) -> SpectralBasis:
                          p0=1.0 / (1.0 - alpha), gap=gap)
 
 
+def _trace_prefactor(alpha: float, nu: float, kappa: float) -> float:
+    """(1-a) sqrt(2 kappa) / (2^nu Gamma(nu+1)), so that r_n = this * j^nu / |J'_nu(j)|."""
+    return (1.0 - alpha) * np.sqrt(2.0 * kappa) / (2.0**nu * bessel.gamma_fn(nu + 1.0))
+
+
 def make_basis(alpha: float, n_modes: int) -> SpectralBasis:
     """Build the first ``n_modes`` eigenmodes for a given alpha in [0, 1).
 
@@ -183,8 +189,7 @@ def make_basis(alpha: float, n_modes: int) -> SpectralBasis:
         return _certified_basis(alpha, last.nu, last.kappa, last.modes[:n_modes])
     nu = (1.0 - alpha) / (2.0 - alpha)
     kappa = (2.0 - alpha) / 2.0
-    trace_pref = ((1.0 - alpha) * np.sqrt(2.0 * kappa)
-                  / (2.0**nu * bessel.gamma_fn(nu + 1.0)))
+    trace_pref = _trace_prefactor(alpha, nu, kappa)
     modes = []
     for n in range(1, n_modes + 1):
         rec = bessel.bessel_zero(nu, n)
@@ -241,14 +246,36 @@ def _substituted_rule(basis: SpectralBasis, panels: int):
     return y, x, common
 
 
-@lru_cache(maxsize=8)
-def _bessel_table(nu: float, zeros: tuple, panels: int) -> np.ndarray:
-    """Read-only J_nu(j_n y) on the ``panels``-panel rule, one row per zero j_n.
-    J_nu is evaluated once per (nu, zeros, panels), kept for the last few bases."""
-    y, _ = panel_rule(0.0, 1.0, panels, DEFAULT_NODES)
-    table = bessel.bessel_j_many(nu, np.array(zeros)[:, None] * y)
-    table.flags.writeable = False
-    return table
+#: read-only J_nu tables by (nu, zeros, panels), least recently used first
+_tables: OrderedDict = OrderedDict()
+_tables_lock = threading.Lock()
+_TABLES_KEPT = 8
+
+
+def _bessel_tables(nu: float, zeros: tuple, *panel_counts: int) -> list[np.ndarray]:
+    """Read-only J_nu(j_n y) on each ``panels``-panel rule, one row per zero j_n.
+
+    J_nu is evaluated once per (nu, zeros, panels) while that table is among
+    the last ``_TABLES_KEPT`` used. The tables not kept come from one
+    ``bessel_j_many`` call over their joined nodes; each value depends only
+    on its own argument, so each table has the bits of a call of its own.
+    """
+    keys = [(nu, zeros, panels) for panels in panel_counts]
+    with _tables_lock:
+        missing = [key for key in keys if key not in _tables]
+        if missing:
+            ys = [panel_rule(0.0, 1.0, key[2], DEFAULT_NODES)[0] for key in missing]
+            joined = bessel.bessel_j_many(nu, np.array(zeros)[:, None] * np.concatenate(ys))
+            splits = np.cumsum([len(y) for y in ys[:-1]])
+            for key, part in zip(missing, np.split(joined, splits, axis=1)):
+                table = part.copy()
+                table.flags.writeable = False
+                _tables[key] = table
+        for key in keys:
+            _tables.move_to_end(key)
+        while len(_tables) > _TABLES_KEPT:
+            _tables.popitem(last=False)
+        return [_tables[key] for key in keys]
 
 
 def project(basis: SpectralBasis, f, panels: int = DEFAULT_PANELS,
@@ -257,10 +284,13 @@ def project(basis: SpectralBasis, f, panels: int = DEFAULT_PANELS,
 
     ``f`` must accept an ndarray of points in [0, 1]. The quadrature error
     is estimated by doubling the panel count; estimates above ``tol``
-    raise ``QuadratureError`` rather than passing silently.
+    raise ``QuadratureError`` rather than passing silently. The two rules'
+    J_nu tables come from one ``bessel_j_many`` call unless one is kept.
     """
-    coarse = _project_once(basis, f, panels)
-    fine = _project_once(basis, f, 2 * panels)
+    coarse_table, fine_table = _bessel_tables(basis.nu, tuple(basis.zeros),
+                                              panels, 2 * panels)
+    coarse = _project_once(basis, f, panels, coarse_table)
+    fine = _project_once(basis, f, 2 * panels, fine_table)
     err = float(np.max(np.abs(fine - coarse)))
     if err > tol:
         raise QuadratureError(
@@ -270,10 +300,9 @@ def project(basis: SpectralBasis, f, panels: int = DEFAULT_PANELS,
                         basis_id=basis.basis_id)
 
 
-def _project_once(basis, f, panels) -> np.ndarray:
+def _project_once(basis, f, panels, table) -> np.ndarray:
     y, x, common = _substituted_rule(basis, panels)
     fx = np.asarray(f(x), dtype=float) * common
-    table = _bessel_table(basis.nu, tuple(basis.zeros), panels)
     return basis.norm_consts * (table @ fx)
 
 
@@ -294,9 +323,7 @@ def neumann_trace_numeric(basis: SpectralBasis, n: int, x_small: float) -> float
 
 def trace_asymptotic_prefactor(basis: SpectralBasis) -> float:
     """rho with r_n ~ rho * j_n^{nu + 1/2} as n grows."""
-    a, nu, kappa = basis.alpha, basis.nu, basis.kappa
-    return ((1.0 - a) * np.sqrt(2.0 * kappa)
-            / (2.0**nu * bessel.gamma_fn(nu + 1.0)) * np.sqrt(np.pi / 2.0))
+    return _trace_prefactor(basis.alpha, basis.nu, basis.kappa) * np.sqrt(np.pi / 2.0)
 
 
 def source_coefficient(basis: SpectralBasis, n: int) -> float:
@@ -311,7 +338,7 @@ def source_coefficient_quadrature(basis: SpectralBasis, n: int) -> float:
     In the substituted variable the weight is 1 - y^{2 nu}.
     """
     y, _, common = _substituted_rule(basis, DEFAULT_PANELS)
-    row = _bessel_table(basis.nu, tuple(basis.zeros), DEFAULT_PANELS)[n - 1]
+    row = _bessel_tables(basis.nu, tuple(basis.zeros), DEFAULT_PANELS)[0][n - 1]
     integrand = (1.0 - y ** (2.0 * basis.nu)) * row
     return basis.modes[n - 1].norm_const * float(np.dot(common, integrand))
 
@@ -324,7 +351,7 @@ def gram_matrix(basis: SpectralBasis) -> np.ndarray:
     """
     y, w = panel_rule(0.0, 1.0, DEFAULT_PANELS, DEFAULT_NODES)
     vals = (basis.norm_consts[:, None]
-            * _bessel_table(basis.nu, tuple(basis.zeros), DEFAULT_PANELS))
+            * _bessel_tables(basis.nu, tuple(basis.zeros), DEFAULT_PANELS)[0])
     return (vals * (w * y / basis.kappa)) @ vals.T
 
 
@@ -348,7 +375,7 @@ class LimitBasis:
         """<f, Phi_n> = (1/|J'_0(j_n)|) int_0^1 2 y f(y^2) J_0(j_n y) dy."""
         y, w = panel_rule(0.0, 1.0, DEFAULT_PANELS, DEFAULT_NODES)
         fy = np.asarray(f(y**2), dtype=float) * 2.0 * y * w
-        return (_bessel_table(0.0, tuple(self.zeros), DEFAULT_PANELS) @ fy) / self.jprime
+        return (_bessel_tables(0.0, tuple(self.zeros), DEFAULT_PANELS)[0] @ fy) / self.jprime
 
 
 def make_limit_basis(n_modes: int) -> LimitBasis:

@@ -129,6 +129,14 @@ class TestBuild:
         assert fam.lambdas[0] == fam.lambdas_full[1]
         assert np.array_equal(fam.zero_mean_values, zero_means)
 
+    def test_family_arrays_are_read_only(self):
+        # a frozen family's certificate must keep covering its coefficients
+        fam = build_biortho(make_basis(0.5, 6).eigenvalues, 1.0)
+        for arr in (fam.lambdas, fam.lambdas_full, fam.coeffs_reflected,
+                    fam.residual, fam.gram):
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 99.0
+
     def test_biorthogonality_by_independent_quadrature(self):
         # all pairs in the reflected (terminal-state) scale; additionally
         # the undamped integrals int sigma_n e^{lambda_m t} dt wherever the

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from degctrl import bessel
+from degctrl import bessel, spectrum
 from degctrl.bessel import bessel_j, bessel_j_prime
 from degctrl.errors import DomainError, UsageError
 from degctrl.quadrature import panel_rule
 from degctrl.spectrum import (DEFAULT_NODES, DEFAULT_PANELS, GAP_CONSECUTIVE,
-                              GAP_FIRST, _bessel_table, eval_eigenfunction,
+                              GAP_FIRST, _bessel_tables, eval_eigenfunction,
                               gram_matrix, make_basis, make_limit_basis,
                               neumann_trace_numeric, project,
                               source_coefficient,
@@ -325,7 +325,7 @@ def _source_row_oracle(basis, n):
 class TestBesselTable:
     def test_verify_evaluates_one_table(self, monkeypatch):
         from degctrl import build_biortho, verify
-        _bessel_table.cache_clear()
+        spectrum._tables.clear()
         basis = make_basis(0.4137, 8)
         fam = build_biortho(basis.eigenvalues, 1.0)
         calls = _count_bessel_j_many(monkeypatch)
@@ -335,20 +335,33 @@ class TestBesselTable:
         assert calls == [(basis.nu, 8 * DEFAULT_PANELS * DEFAULT_NODES)]
 
     def test_project_evaluates_each_panel_count_once(self, monkeypatch):
-        _bessel_table.cache_clear()
+        spectrum._tables.clear()
         f = lambda x: x * (1.0 - x)
         calls = _count_bessel_j_many(monkeypatch)
-        first = project(make_basis(0.4139, 8), f)
-        assert len(calls) == 2
+        basis = make_basis(0.4139, 8)
+        first = project(basis, f)
+        # the 8- and 16-panel rules in one call of 8 x (512 + 1024) points
+        assert calls == [(basis.nu, 8 * 3 * DEFAULT_PANELS * DEFAULT_NODES)]
         make_basis(0.4139, 12)
         sliced = make_basis(0.4139, 8)
         again = project(sliced, f)
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert np.array_equal(again.coefficients, first.coefficients)
+
+    def test_project_after_verify_evaluates_only_the_fine_rule(self, monkeypatch):
+        from degctrl import build_biortho, verify
+        spectrum._tables.clear()
+        basis = make_basis(0.4141, 8)
+        fam = build_biortho(basis.eigenvalues, 1.0)
+        calls = _count_bessel_j_many(monkeypatch)
+        verify(basis, fam, unit_moment(basis, 1), 1e-6)
+        project(basis, lambda x: x * (1.0 - x))
+        assert calls == [(basis.nu, 8 * DEFAULT_PANELS * DEFAULT_NODES),
+                         (basis.nu, 8 * 2 * DEFAULT_PANELS * DEFAULT_NODES)]
 
     def test_read_only_and_equal_to_direct_call(self):
         basis = make_basis(0.6, 5)
-        table = _bessel_table(basis.nu, tuple(basis.zeros), DEFAULT_PANELS)
+        table = _bessel_tables(basis.nu, tuple(basis.zeros), DEFAULT_PANELS)[0]
         y, _ = panel_rule(0.0, 1.0, DEFAULT_PANELS, DEFAULT_NODES)
         direct = bessel.bessel_j_many(basis.nu, basis.zeros[:, None] * y)
         assert table.shape == direct.shape
@@ -356,9 +369,21 @@ class TestBesselTable:
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
 
+    def test_joined_tables_equal_direct_calls(self):
+        spectrum._tables.clear()
+        basis = make_basis(0.6, 5)
+        counts = (DEFAULT_PANELS, 2 * DEFAULT_PANELS)
+        for panels, table in zip(counts, _bessel_tables(basis.nu, tuple(basis.zeros), *counts)):
+            y, _ = panel_rule(0.0, 1.0, panels, DEFAULT_NODES)
+            direct = bessel.bessel_j_many(basis.nu, basis.zeros[:, None] * y)
+            assert table.shape == direct.shape
+            assert table.tobytes() == direct.tobytes()
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
+
     def test_bounded(self, monkeypatch):
-        _bessel_table.cache_clear()
-        keep = _bessel_table.cache_info().maxsize
+        spectrum._tables.clear()
+        keep = spectrum._TABLES_KEPT
         calls = _count_bessel_j_many(monkeypatch)
         bases = [make_basis(0.05 + 0.1 * k, 2) for k in range(keep + 1)]
         for basis in bases:
