@@ -20,23 +20,27 @@ import numpy as np
 
 from ._fmt import write_csv, write_json
 from .biortho import bound_profile, build_biortho
-from .control import moment_residual, reachability_score, synthesize
-from .cost import (ZERO_MEAN_TOL, _synthesis_checks, cost_sweep, null_control,
+from .control import reachability_score
+from .cost import (ZERO_MEAN_TOL, _synthesis_step, cost_sweep, null_control,
                    resolve_u0, verify)
 from .errors import AccuracyError, DegctrlError, DomainError, UsageError
-from .spectrum import MomentVector, make_basis, make_limit_basis
+from .spectrum import make_basis, make_limit_basis
+
+_SYNTHESIS = ("biortho", "synthesize", "simulate", "cost-sweep", "verify")
 
 #: every option in --help order: config-file key -> (type, default,
-#: subcommands taking it as a flag, None meaning all); the resolved
-#: configuration names it with '-' as '_', lower-cased
+#: subcommands taking it as a flag, None meaning all); a config file may
+#: set any key, and the resolved configuration names it with '-' as '_',
+#: lower-cased. Only verify reads the seed; synthesize and simulate take
+#: it so that one argv serves the verify, synthesize, simulate chain
 _OPTIONS = {
     "alpha": (float, None, None),
     "modes": (int, 8, None),
-    "horizon": (float, 1.0, None),
-    "tol": (float, 1e-6, None),
+    "horizon": (float, 1.0, _SYNTHESIS),
+    "tol": (float, 1e-6, _SYNTHESIS),
     "out-dir": (str, ".", None),
-    "seed": (int, 0, None),
-    "format": (str, "json", None),
+    "seed": (int, 0, ("synthesize", "simulate", "verify")),
+    "format": (str, "json", ("spectrum", "cost-sweep")),
     "alphas": (str, None, ("cost-sweep",)),
     "u0": (str, None, ("synthesize", "simulate", "cost-sweep")),
     "target": (str, None, ("synthesize",)),
@@ -185,6 +189,7 @@ def _cmd_biortho(cfg) -> int:
 def _cmd_synthesize(cfg) -> int:
     basis, fam = _family(cfg)
     mu0 = _u0(cfg, basis)
+    muT = None
     if cfg["target"] is not None:
         muT = resolve_u0(cfg["target"], basis)
         k = cfg["reach_k"] if cfg["reach_k"] is not None else bound_profile(fam).K
@@ -196,14 +201,9 @@ def _cmd_synthesize(cfg) -> int:
             print(f"target fails the reachability score (K={k:.4g}); refusing "
                   f"to synthesize", file=sys.stderr)
             return 1
-    else:
-        muT = MomentVector(alpha=basis.alpha, coefficients=np.zeros(basis.n_modes),
-                           basis_id=basis.basis_id)
-    sig = synthesize(basis, fam, mu0, muT)
-    res = moment_residual(basis, sig, mu0, muT)
+    sig, _, checks = _synthesis_step(basis, fam, mu0, cfg["tol"], muT)
     sig.save_json(_out(cfg, "control.json"))
     sig.save_csv(_out(cfg, "control_samples.csv"))
-    checks = _synthesis_checks(sig, res, cfg["tol"])
     (_, resid, _), (_, g_T, _) = checks
     ok = all(value <= limit for _, value, limit in checks)
     print(f"||G||_H1 = {sig.norms['G_h1']:.6g}, |G(T)| = {g_T:.2e}, "
@@ -281,15 +281,12 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args)
         return _COMMANDS[args.command][0](cfg)
-    except (UsageError, DomainError) as err:
+    except (UsageError, DomainError, FileNotFoundError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
     except DegctrlError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 1
-    except FileNotFoundError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

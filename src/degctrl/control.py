@@ -38,7 +38,7 @@ from ._fmt import write_csv, write_json
 from .biortho import BiorthogonalFamily, exponential_gram
 from .errors import AccuracyError, TargetStiffnessError, UsageError
 from .quadrature import panel_rule
-from .spectrum import MomentVector, SpectralBasis, make_basis
+from .spectrum import MomentVector, SpectralBasis, _exponents, make_basis
 
 _OVERFLOW_LOG = np.log(1e300)
 
@@ -133,6 +133,12 @@ def _exp_growth_terms(muT: np.ndarray, lambdas: np.ndarray, T: float) -> np.ndar
     return out
 
 
+def _affine_moments(a, b, T, lam, i1):
+    """int_0^T (a + b t) e^{lambda (t-T)} dt from i1 = int_0^T e^{lambda (t-T)} dt,
+    with int_0^T t e^{lambda (t-T)} dt = T/lambda - i1/lambda."""
+    return a * i1 + b * (T / lam - i1 / lam)
+
+
 def _closed_norms(weights: np.ndarray, fam: BiorthogonalFamily):
     """(||g||_L2, ||G||_L2, (A, B)) from exponential integrals on ``fam.gram``."""
     G0, T = fam.gram, fam.T
@@ -141,10 +147,8 @@ def _closed_norms(weights: np.ndarray, fam: BiorthogonalFamily):
     q = weights[1:] / lam
     a = -float(np.dot(q, np.exp(-lam * T)))
     b = float(weights[0])
-    i1 = G0[0, 1:]   # int_0^T e^{lambda_k (t-T)} dt
-    it = T / lam - i1 / lam
     nG2 = a * a * T + a * b * T * T + b * b * T**3 / 3.0
-    nG2 += 2.0 * float(np.dot(q, a * i1 + b * it))
+    nG2 += 2.0 * float(np.dot(q, _affine_moments(a, b, T, lam, G0[0, 1:])))
     nG2 += float(q @ G0[1:, 1:] @ q)
     return np.sqrt(max(ng2, 0.0)), np.sqrt(max(nG2, 0.0)), (a, b)
 
@@ -235,9 +239,7 @@ def moment_residual(basis: SpectralBasis, signal: ControlSignal,
     conv = exponential_gram(lam_ext, signal.T, signal.lambdas_full)
     out = np.empty(n + n_extra)
     for i, ln in enumerate(lam_ext):
-        i1 = conv[i, 0]
-        it = signal.T / ln - i1 / ln
-        integral = a * i1 + b * it + np.dot(q, conv[i, 1:])
+        integral = _affine_moments(a, b, signal.T, ln, conv[i, 0]) + np.dot(q, conv[i, 1:])
         out[i] = r_ext[i] * integral + mu0_ext[i] * np.exp(-ln * signal.T) - muT_ext[i]
     return out
 
@@ -263,7 +265,7 @@ def reachability_score(muT: MomentVector, alpha: float, K: float) -> Reachabilit
     """Score the target-decay condition with growth constant K > 0."""
     if not K > 0.0:
         raise UsageError(f"K must be positive, got {K}")
-    kappa = (2.0 - alpha) / 2.0
+    _, kappa = _exponents(alpha)
     mu = np.abs(muT.coefficients)
     m = np.arange(1, len(mu) + 1, dtype=float)
     terms = m**1.5 * mu * np.exp(K * kappa * np.pi * m)

@@ -132,23 +132,28 @@ def null_control(basis: SpectralBasis, fam: BiorthogonalFamily,
     value <= limit: moment residuals (limit ``tol``), |G(T)|, terminal
     residual and closed-form vs integrator deviation.
     """
-    muT = MomentVector(alpha=basis.alpha, coefficients=np.zeros(basis.n_modes),
-                       basis_id=basis.basis_id)
-    signal = synthesize(basis, fam, mu0, muT)
-    res = moment_residual(basis, signal, mu0, muT)
+    signal, res, checks = _synthesis_step(basis, fam, mu0, tol)
     traj = evolve(basis, mu0, signal, grid_size=grid_size)
-    checks = _synthesis_checks(signal, res, tol) + (
+    checks += (
         ("terminal_state", float(np.max(np.abs(traj.terminal))), TERMINAL_TOL),
         ("propagation_oracle", traj.oracle_deviation, ORACLE_TOL),
     )
     return signal, res, traj, checks
 
 
-def _synthesis_checks(signal, residuals, tol: float):
-    """Moment residuals (limit ``tol``) and |G(T)| as ``(name, value, limit)``,
-    each passing when value <= limit, so never on NaN."""
-    return (("moment_residuals", float(np.max(np.abs(residuals))), tol),
-            ("boundary_return", abs(signal.terminal_value), BOUNDARY_TOL))
+def _synthesis_step(basis: SpectralBasis, fam: BiorthogonalFamily,
+                    mu0: MomentVector, tol: float, muT: MomentVector | None = None):
+    """Steer mu0 to ``muT`` (rest when None) and replay the moments:
+    ``(signal, residuals, checks)``, ``checks`` holding the moment residuals
+    (limit ``tol``) and |G(T)| as ``(name, value, limit)``, each passing
+    when value <= limit, so never on NaN."""
+    if muT is None:
+        muT = MomentVector(alpha=basis.alpha, coefficients=np.zeros(basis.n_modes),
+                           basis_id=basis.basis_id)
+    signal = synthesize(basis, fam, mu0, muT)
+    res = moment_residual(basis, signal, mu0, muT)
+    return signal, res, (("moment_residuals", float(np.max(np.abs(res))), tol),
+                         ("boundary_return", abs(signal.terminal_value), BOUNDARY_TOL))
 
 
 def verify(basis: SpectralBasis, fam: BiorthogonalFamily, mu0: MomentVector,

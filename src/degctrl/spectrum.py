@@ -33,8 +33,7 @@ facts are rechecked numerically on every constructed basis and recorded in
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,9 +61,14 @@ class Mode:
     neumann_trace: float
 
 
+#: one panel count's rule in y = x^kappa, read-only: nodes y, weights w,
+#: x = y^{1/kappa}, common = w y^{1/(2-a)} / kappa, and table[n-1] = J_nu(j_n y)
+_Rule = namedtuple("_Rule", "y w x common table")
+
+
 @dataclass(frozen=True)
 class SpectralBasis:
-    """First N eigenmodes of -(x^a y')' with Dirichlet conditions."""
+    """First N Dirichlet eigenmodes of -(x^a y')'; ``tables`` keeps its rules."""
 
     alpha: float
     nu: float
@@ -72,6 +76,7 @@ class SpectralBasis:
     modes: tuple[Mode, ...]
     p0: float                 # p(0) = int_0^1 s^{-a} ds = 1/(1-a)
     gap: dict = field(compare=False)
+    _rules: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n_modes(self) -> int:
@@ -96,6 +101,34 @@ class SpectralBasis:
     @property
     def basis_id(self) -> str:
         return f"alpha={self.alpha!r};N={self.n_modes}"
+
+    def tables(self, *panel_counts: int) -> list[_Rule]:
+        """Each panel count's rule in y = x^kappa and its J_nu table, where
+
+            int_0^1 f(x) Phi_n(x) dx
+                = (C_n / kappa) int_0^1 f(y^{1/kappa}) J_nu(j_n y) y^{1/(2-a)} dy.
+
+        Each rule is evaluated once per basis; the counts not yet held come
+        from one ``bessel_j_many`` call over their joined nodes. Each value
+        depends only on its own argument, so each table has the bits of a
+        call of its own. Filling is idempotent, so callers need no lock.
+        """
+        for panels in panel_counts:
+            if not (isinstance(panels, (int, np.integer)) and panels > 0):
+                raise DomainError(f"panels must be a positive int, got {panels!r}")
+        missing = [p for p in panel_counts if p not in self._rules]
+        if missing:
+            rules = [panel_rule(0.0, 1.0, p, DEFAULT_NODES) for p in missing]
+            joined = bessel.bessel_j_many(
+                self.nu, self.zeros[:, None] * np.concatenate([y for y, _ in rules]))
+            splits = np.cumsum([len(y) for y, _ in rules[:-1]])
+            for p, (y, w), part in zip(missing, rules, np.split(joined, splits, axis=1)):
+                rule = _Rule(y, w, y ** (1.0 / self.kappa),
+                             w * y ** (1.0 / (2.0 - self.alpha)) / self.kappa, part.copy())
+                for arr in rule:
+                    arr.flags.writeable = False
+                self._rules[p] = rule
+        return [self._rules[p] for p in panel_counts]
 
     def to_json_dict(self) -> dict:
         return {
@@ -169,12 +202,17 @@ def _trace_prefactor(alpha: float, nu: float, kappa: float) -> float:
     return (1.0 - alpha) * np.sqrt(2.0 * kappa) / (2.0**nu * bessel.gamma_fn(nu + 1.0))
 
 
+def _exponents(alpha: float) -> tuple[float, float]:
+    """nu = (1-a)/(2-a) and kappa = (2-a)/2, as in the module docstring."""
+    return (1.0 - alpha) / (2.0 - alpha), (2.0 - alpha) / 2.0
+
+
 def make_basis(alpha: float, n_modes: int) -> SpectralBasis:
     """Build the first ``n_modes`` eigenmodes for a given alpha in [0, 1).
 
-    The modes of a basis do not depend on its size, so a call with the
-    alpha of the previous build and no more modes slices that build; the
-    result equals a fresh build field for field.
+    The modes of a basis do not depend on its size: a call with the alpha
+    of the previous build returns that build for as many modes, and for
+    fewer a slice of it that equals a fresh build field for field.
     """
     global _last_basis
     alpha = float(alpha)
@@ -186,9 +224,10 @@ def make_basis(alpha: float, n_modes: int) -> SpectralBasis:
     kept = _last_basis   # one read: another thread may replace it
     if kept is not None and kept[0] == key and n_modes <= kept[1].n_modes:
         last = kept[1]
+        if n_modes == last.n_modes:
+            return last
         return _certified_basis(alpha, last.nu, last.kappa, last.modes[:n_modes])
-    nu = (1.0 - alpha) / (2.0 - alpha)
-    kappa = (2.0 - alpha) / 2.0
+    nu, kappa = _exponents(alpha)
     trace_pref = _trace_prefactor(alpha, nu, kappa)
     modes = []
     for n in range(1, n_modes + 1):
@@ -234,63 +273,18 @@ def _phi_scalar_precise(basis: SpectralBasis, n: int, x: float) -> float:
     return mode.norm_const * x ** ((1.0 - basis.alpha) / 2.0) * ev.value
 
 
-def _substituted_rule(basis: SpectralBasis, panels: int):
-    """Quadrature data in the substituted variable y = x^kappa.
-
-    int_0^1 f(x) Phi_n(x) dx
-        = (C_n / kappa) int_0^1 f(y^{1/kappa}) J_nu(j_n y) y^{1/(2-a)} dy.
-    """
-    y, w = panel_rule(0.0, 1.0, panels, DEFAULT_NODES)
-    x = y ** (1.0 / basis.kappa)
-    common = w * y ** (1.0 / (2.0 - basis.alpha)) / basis.kappa
-    return y, x, common
-
-
-#: read-only J_nu tables by (nu, zeros, panels), least recently used first
-_tables: OrderedDict = OrderedDict()
-_tables_lock = threading.Lock()
-_TABLES_KEPT = 8
-
-
-def _bessel_tables(nu: float, zeros: tuple, *panel_counts: int) -> list[np.ndarray]:
-    """Read-only J_nu(j_n y) on each ``panels``-panel rule, one row per zero j_n.
-
-    J_nu is evaluated once per (nu, zeros, panels) while that table is among
-    the last ``_TABLES_KEPT`` used. The tables not kept come from one
-    ``bessel_j_many`` call over their joined nodes; each value depends only
-    on its own argument, so each table has the bits of a call of its own.
-    """
-    keys = [(nu, zeros, panels) for panels in panel_counts]
-    with _tables_lock:
-        missing = [key for key in keys if key not in _tables]
-        if missing:
-            ys = [panel_rule(0.0, 1.0, key[2], DEFAULT_NODES)[0] for key in missing]
-            joined = bessel.bessel_j_many(nu, np.array(zeros)[:, None] * np.concatenate(ys))
-            splits = np.cumsum([len(y) for y in ys[:-1]])
-            for key, part in zip(missing, np.split(joined, splits, axis=1)):
-                table = part.copy()
-                table.flags.writeable = False
-                _tables[key] = table
-        for key in keys:
-            _tables.move_to_end(key)
-        while len(_tables) > _TABLES_KEPT:
-            _tables.popitem(last=False)
-        return [_tables[key] for key in keys]
-
-
 def project(basis: SpectralBasis, f, panels: int = DEFAULT_PANELS,
             tol: float = 1e-8) -> MomentVector:
     """Fourier-Bessel coefficients mu_n = int_0^1 f Phi_n dx.
 
     ``f`` must accept an ndarray of points in [0, 1]. The quadrature error
     is estimated by doubling the panel count; estimates above ``tol``
-    raise ``QuadratureError`` rather than passing silently. The two rules'
-    J_nu tables come from one ``bessel_j_many`` call unless one is kept.
+    raise ``QuadratureError`` rather than passing silently. ``panels``
+    must be a positive int; both rules come from ``basis.tables``.
     """
-    coarse_table, fine_table = _bessel_tables(basis.nu, tuple(basis.zeros),
-                                              panels, 2 * panels)
-    coarse = _project_once(basis, f, panels, coarse_table)
-    fine = _project_once(basis, f, 2 * panels, fine_table)
+    coarse, fine = (basis.norm_consts * (rule.table @ (np.asarray(f(rule.x), dtype=float)
+                                                       * rule.common))
+                    for rule in basis.tables(panels, 2 * panels))
     err = float(np.max(np.abs(fine - coarse)))
     if err > tol:
         raise QuadratureError(
@@ -298,12 +292,6 @@ def project(basis: SpectralBasis, f, panels: int = DEFAULT_PANELS,
             f"{err:.3e} > tol {tol:.1e} (panels={panels}, nodes={DEFAULT_NODES})")
     return MomentVector(alpha=basis.alpha, coefficients=fine,
                         basis_id=basis.basis_id)
-
-
-def _project_once(basis, f, panels, table) -> np.ndarray:
-    y, x, common = _substituted_rule(basis, panels)
-    fx = np.asarray(f(x), dtype=float) * common
-    return basis.norm_consts * (table @ fx)
 
 
 def neumann_trace_numeric(basis: SpectralBasis, n: int, x_small: float) -> float:
@@ -337,10 +325,9 @@ def source_coefficient_quadrature(basis: SpectralBasis, n: int) -> float:
 
     In the substituted variable the weight is 1 - y^{2 nu}.
     """
-    y, _, common = _substituted_rule(basis, DEFAULT_PANELS)
-    row = _bessel_tables(basis.nu, tuple(basis.zeros), DEFAULT_PANELS)[0][n - 1]
-    integrand = (1.0 - y ** (2.0 * basis.nu)) * row
-    return basis.modes[n - 1].norm_const * float(np.dot(common, integrand))
+    rule = basis.tables(DEFAULT_PANELS)[0]
+    integrand = (1.0 - rule.y ** (2.0 * basis.nu)) * rule.table[n - 1]
+    return basis.modes[n - 1].norm_const * float(np.dot(rule.common, integrand))
 
 
 def gram_matrix(basis: SpectralBasis) -> np.ndarray:
@@ -349,10 +336,9 @@ def gram_matrix(basis: SpectralBasis) -> np.ndarray:
     With two eigenfunctions in the integrand the substituted weight is
     exactly y: Phi_m Phi_n dx = (C_m C_n / kappa) y J(j_m y) J(j_n y) dy.
     """
-    y, w = panel_rule(0.0, 1.0, DEFAULT_PANELS, DEFAULT_NODES)
-    vals = (basis.norm_consts[:, None]
-            * _bessel_tables(basis.nu, tuple(basis.zeros), DEFAULT_PANELS)[0])
-    return (vals * (w * y / basis.kappa)) @ vals.T
+    rule = basis.tables(DEFAULT_PANELS)[0]
+    vals = basis.norm_consts[:, None] * rule.table
+    return (vals * (rule.w * rule.y / basis.kappa)) @ vals.T
 
 
 @dataclass(frozen=True)
@@ -375,7 +361,7 @@ class LimitBasis:
         """<f, Phi_n> = (1/|J'_0(j_n)|) int_0^1 2 y f(y^2) J_0(j_n y) dy."""
         y, w = panel_rule(0.0, 1.0, DEFAULT_PANELS, DEFAULT_NODES)
         fy = np.asarray(f(y**2), dtype=float) * 2.0 * y * w
-        return (_bessel_tables(0.0, tuple(self.zeros), DEFAULT_PANELS)[0] @ fy) / self.jprime
+        return (bessel.bessel_j_many(0.0, self.zeros[:, None] * y) @ fy) / self.jprime
 
 
 def make_limit_basis(n_modes: int) -> LimitBasis:

@@ -241,6 +241,31 @@ class TestMalformedInput:
         assert not list(tmp_path.iterdir())
 
 
+class TestFlagsPerSubcommand:
+    @pytest.mark.parametrize("argv", [
+        ["biortho", "--alpha", "0.5", "--format", "csv"],
+        ["biortho", "--alpha", "0.5", "--seed", "9"],
+        ["verify", "--alpha", "0.5", "--format", "csv"],
+        ["cost-sweep", "--alphas", "0.5", "--seed", "9"],
+        ["spectrum", "--alpha", "0.5", "--horizon", "2"],
+        ["spectrum", "--alpha", "0.5", "--tol", "1e-3"],
+    ])
+    def test_unread_flag_is_a_usage_error(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(argv + ["--out-dir", str(tmp_path)])
+        assert stop.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_config_file_sets_every_key(self, tmp_path):
+        (tmp_path / "all.cfg").write_text(
+            "alpha=0.5\nmodes=3\nhorizon=2\ntol=1e-3\nseed=9\nformat=json\n")
+        assert run_cli(["spectrum", "--config", str(tmp_path / "all.cfg"),
+                        "--out-dir", str(tmp_path)]) == 0
+        cfg = json.loads((tmp_path / "spectrum.json").read_text())["config"]
+        assert (cfg["horizon"], cfg["tol"], cfg["seed"]) == (2.0, 1e-3, 9)
+
+
 class TestSigmaReplay:
     def test_sound_family_passes(self, tmp_path, capsys):
         # this family's residual on a finer graded rule is ~3e-8; the

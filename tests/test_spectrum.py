@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from degctrl.bessel import bessel_j, bessel_j_prime
 from degctrl.errors import DomainError, UsageError
 from degctrl.quadrature import panel_rule
 from degctrl.spectrum import (DEFAULT_NODES, DEFAULT_PANELS, GAP_CONSECUTIVE,
-                              GAP_FIRST, _bessel_tables, eval_eigenfunction,
+                              GAP_FIRST, eval_eigenfunction,
                               gram_matrix, make_basis, make_limit_basis,
                               neumann_trace_numeric, project,
                               source_coefficient,
@@ -298,6 +301,10 @@ class TestBasisReuse:
         assert reused.gap == fresh.gap
         assert reused.basis_id == fresh.basis_id == f"alpha=0.7;N={n}"
 
+    def test_same_size_returns_the_kept_basis(self):
+        # one object, so its J_nu tables serve every later call
+        assert make_basis(0.45, 8) is make_basis(0.45, 8)
+
     def test_signed_zero_alphas_stay_apart(self):
         assert make_basis(-0.0, 4).basis_id == "alpha=-0.0;N=4"
         assert make_basis(0.0, 4).basis_id == "alpha=0.0;N=4"
@@ -322,10 +329,16 @@ def _source_row_oracle(basis, n):
     return mode.norm_const * float(np.dot(common, integrand))
 
 
+@pytest.fixture
+def no_kept_basis(monkeypatch):
+    """make_basis builds afresh: no basis, and so no table, is kept."""
+    monkeypatch.setattr(spectrum, "_last_basis", None)
+
+
+@pytest.mark.usefixtures("no_kept_basis")
 class TestBesselTable:
     def test_verify_evaluates_one_table(self, monkeypatch):
         from degctrl import build_biortho, verify
-        spectrum._tables.clear()
         basis = make_basis(0.4137, 8)
         fam = build_biortho(basis.eigenvalues, 1.0)
         calls = _count_bessel_j_many(monkeypatch)
@@ -335,22 +348,21 @@ class TestBesselTable:
         assert calls == [(basis.nu, 8 * DEFAULT_PANELS * DEFAULT_NODES)]
 
     def test_project_evaluates_each_panel_count_once(self, monkeypatch):
-        spectrum._tables.clear()
         f = lambda x: x * (1.0 - x)
         calls = _count_bessel_j_many(monkeypatch)
         basis = make_basis(0.4139, 8)
         first = project(basis, f)
         # the 8- and 16-panel rules in one call of 8 x (512 + 1024) points
         assert calls == [(basis.nu, 8 * 3 * DEFAULT_PANELS * DEFAULT_NODES)]
+        assert np.array_equal(project(basis, f).coefficients, first.coefficients)
+        assert len(calls) == 1
         make_basis(0.4139, 12)
         sliced = make_basis(0.4139, 8)
         again = project(sliced, f)
-        assert len(calls) == 1
         assert np.array_equal(again.coefficients, first.coefficients)
 
     def test_project_after_verify_evaluates_only_the_fine_rule(self, monkeypatch):
         from degctrl import build_biortho, verify
-        spectrum._tables.clear()
         basis = make_basis(0.4141, 8)
         fam = build_biortho(basis.eigenvalues, 1.0)
         calls = _count_bessel_j_many(monkeypatch)
@@ -359,40 +371,84 @@ class TestBesselTable:
         assert calls == [(basis.nu, 8 * DEFAULT_PANELS * DEFAULT_NODES),
                          (basis.nu, 8 * 2 * DEFAULT_PANELS * DEFAULT_NODES)]
 
+    def test_cli_chain_evaluates_two_tables(self, monkeypatch, tmp_path):
+        # verify, synthesize and simulate in one process share the kept
+        # basis: verify's 8-panel table, then only the 16-panel one
+        from degctrl.cli import main
+        calls = _count_bessel_j_many(monkeypatch)
+        for command in ("verify", "synthesize", "simulate"):
+            argv = [command, "--alpha", "0.4143", "--modes", "8", "--horizon", "1",
+                    "--seed", "7", "--out-dir", str(tmp_path)]
+            if command != "verify":
+                argv += ["--u0", "poly:x(1-x)"]
+            assert main(argv) == 0
+        nu = make_basis(0.4143, 8).nu
+        assert calls == [(nu, 8 * DEFAULT_PANELS * DEFAULT_NODES),
+                         (nu, 8 * 2 * DEFAULT_PANELS * DEFAULT_NODES)]
+
+    @pytest.mark.parametrize("panels", [0, -1, 2.5, "8"])
+    def test_project_rejects_panels(self, panels):
+        basis = make_basis(0.5, 4)
+        with pytest.raises(DomainError, match="panels must be a positive int"):
+            project(basis, lambda x: x * (1.0 - x), panels=panels)
+        assert basis._rules == {}
+
     def test_read_only_and_equal_to_direct_call(self):
         basis = make_basis(0.6, 5)
-        table = _bessel_tables(basis.nu, tuple(basis.zeros), DEFAULT_PANELS)[0]
-        y, _ = panel_rule(0.0, 1.0, DEFAULT_PANELS, DEFAULT_NODES)
+        rule = basis.tables(DEFAULT_PANELS)[0]
+        y, w = panel_rule(0.0, 1.0, DEFAULT_PANELS, DEFAULT_NODES)
         direct = bessel.bessel_j_many(basis.nu, basis.zeros[:, None] * y)
-        assert table.shape == direct.shape
-        assert table.tobytes() == direct.tobytes()
-        with pytest.raises(ValueError):
-            table[0, 0] = 0.0
+        assert rule.table.shape == direct.shape
+        assert rule.table.tobytes() == direct.tobytes()
+        assert rule.y.tobytes() == y.tobytes() and rule.w.tobytes() == w.tobytes()
+        for arr in rule:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_joined_tables_equal_direct_calls(self):
-        spectrum._tables.clear()
         basis = make_basis(0.6, 5)
         counts = (DEFAULT_PANELS, 2 * DEFAULT_PANELS)
-        for panels, table in zip(counts, _bessel_tables(basis.nu, tuple(basis.zeros), *counts)):
+        for panels, rule in zip(counts, basis.tables(*counts)):
             y, _ = panel_rule(0.0, 1.0, panels, DEFAULT_NODES)
             direct = bessel.bessel_j_many(basis.nu, basis.zeros[:, None] * y)
-            assert table.shape == direct.shape
-            assert table.tobytes() == direct.tobytes()
+            assert rule.table.shape == direct.shape
+            assert rule.table.tobytes() == direct.tobytes()
             with pytest.raises(ValueError):
-                table[0, 0] = 0.0
+                rule.table[0, 0] = 0.0
 
-    def test_bounded(self, monkeypatch):
-        spectrum._tables.clear()
-        keep = spectrum._TABLES_KEPT
-        calls = _count_bessel_j_many(monkeypatch)
-        bases = [make_basis(0.05 + 0.1 * k, 2) for k in range(keep + 1)]
-        for basis in bases:
-            gram_matrix(basis)
-        assert len(calls) == keep + 1
-        gram_matrix(bases[-1])
-        assert len(calls) == keep + 1
-        gram_matrix(bases[0])
-        assert len(calls) == keep + 2
+    def test_unlocked_fill_gives_every_thread_the_same_bits(self):
+        # racing threads may evaluate a table twice, never differently
+        f = lambda x: x * (1.0 - x)
+        kept = make_basis(0.4145, 8)
+        reference = project(kept, f).coefficients
+        basis = spectrum._certified_basis(kept.alpha, kept.nu, kept.kappa, kept.modes)
+        workers = min(os.cpu_count() or 1, 8) + 2
+        barrier = threading.Barrier(workers)
+        results = [None] * workers
+
+        def run(i):
+            barrier.wait(timeout=30)
+            results[i] = project(basis, f).coefficients
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(r.tobytes() == reference.tobytes() for r in results)
+        assert sorted(basis._rules) == [DEFAULT_PANELS, 2 * DEFAULT_PANELS]
+
+    def test_store_is_left_out_of_comparison_and_repr(self):
+        basis = make_basis(0.6, 5)
+        fresh = spectrum._certified_basis(basis.alpha, basis.nu, basis.kappa, basis.modes)
+        basis.tables(DEFAULT_PANELS)
+        assert basis == fresh and repr(basis) == repr(fresh)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
     def test_source_row_equals_per_row_evaluation(self, alpha):

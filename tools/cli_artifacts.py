@@ -101,6 +101,9 @@ CONFIGS = {
     "error_verify_seed_negative": ["verify", "--alpha", "0.5", "--seed", "-1"],
     "error_sweep_modes_below_minimum": ["cost-sweep", "--alphas", "0.5",
                                         "--modes", "2"],
+    # biortho reads neither --format nor --seed: argparse rejects both
+    "error_biortho_format_seed": ["biortho", "--alpha", "0.5", "--modes", "8",
+                                  "--format", "csv", "--seed", "9"],
     # argparse prints help and exits before it reads --out-dir
     "help_root": ["--help"],
     "help_verify": ["verify", "--help"],
