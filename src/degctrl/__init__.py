@@ -8,7 +8,7 @@ verifies controllability by exact spectral simulation, and quantifies the
 """
 
 from .bessel import (BesselEval, ZeroRecord, bessel_j, bessel_j_many,
-                     bessel_j_prime, bessel_zero, gamma_fn)
+                     bessel_j_prime, bessel_zero)
 from .biortho import (BiorthogonalFamily, BoundProfile, bound_profile,
                       build_biortho, eval_sigma, exponential_gram)
 from .control import (ControlSignal, ReachabilityScore, moment_residual,
@@ -36,9 +36,9 @@ __all__ = [
     "UsageError", "ZeroRecord", "bessel_j", "bessel_j_many", "bessel_j_prime",
     "bessel_zero", "bound_profile", "build_biortho", "cost_lower",
     "cost_sweep", "cost_upper", "eval_eigenfunction", "eval_sigma", "evolve",
-    "exponential_gram", "gamma_fn", "gram_matrix", "make_basis",
-    "make_limit_basis", "moment_residual", "neumann_trace_numeric",
-    "null_control", "project", "reachability_score", "resolve_u0",
-    "source_coefficient", "source_coefficient_quadrature", "synthesize",
-    "terminal_error", "trace_asymptotic_prefactor", "unit_moment", "verify",
+    "exponential_gram", "gram_matrix", "make_basis", "make_limit_basis",
+    "moment_residual", "neumann_trace_numeric", "null_control", "project",
+    "reachability_score", "resolve_u0", "source_coefficient",
+    "source_coefficient_quadrature", "synthesize", "terminal_error",
+    "trace_asymptotic_prefactor", "unit_moment", "verify",
 ]

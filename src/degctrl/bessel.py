@@ -61,52 +61,14 @@ _MILLER_START = 40
 _HANKEL_TERMS = tuple((m, float((2 * m - 1) ** 2), 8.0 * m) for m in range(1, 61))
 
 # A-priori rounding bound of the scalar path below SERIES_CUTOFF, in ulps
-# of the magnitude it works at: up to 12 from the Lanczos sum of gamma_fn,
-# one per step of Miller's recurrence and a few for the scaling.
+# of the magnitude it works at: up to 4 from math.gamma(nu + 1), one per
+# step of Miller's recurrence and a few for the scaling.
 _EPS = np.finfo(float).eps
 _ROUNDING_ULPS = 64
 
 # Largest supported order. Public entry points accept nu in [0, 1];
 # the derivative recurrence needs J_{nu+1}, hence the internal slack.
 _MAX_ORDER = 2.0
-
-# Lanczos coefficients, g = 7, 9 terms.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma(x) for x > 0 via a 9-term Lanczos approximation (g = 7).
-
-    Relative error is below 1e-13 on [0.5, 50]; arguments in (0, 0.5) go
-    through the reflection formula.
-    """
-    x = float(x)
-    if not x > 0.0:
-        raise DomainError(f"gamma_fn requires a positive argument, got {x}")
-    if x > 171.7:
-        return math.inf  # beyond float64 from 171.62 on
-    if x < 0.5:
-        # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    # two half powers: t^(z+1/2) alone would overflow from x ~ 143 on
-    half = t ** ((z + 0.5) / 2.0)
-    return math.sqrt(2.0 * math.pi) * half * math.exp(-t) * half * acc
 
 
 @dataclass(frozen=True)
@@ -140,7 +102,7 @@ def _series_eval(nu: float, x: float):
         lead, value = _miller(nu, x)
         return float(value), _ROUNDING_ULPS * _EPS * float(lead)
     q = (x / 2.0) ** 2
-    term = total = size = (x / 2.0) ** nu / gamma_fn(nu + 1.0)
+    term = total = size = (x / 2.0) ** nu / math.gamma(nu + 1.0)
     m = 0
     while True:
         nxt = -term * q / ((m + 1) * (m + nu + 1))
@@ -241,7 +203,7 @@ def bessel_j_many(nu: float, x: np.ndarray) -> np.ndarray:
         # terms decrease from the first and fall below 1e-19 by m = 13
         xs = x[low]
         q = (xs / 2.0) ** 2
-        term = (xs / 2.0) ** nu / gamma_fn(nu + 1.0)
+        term = (xs / 2.0) ** nu / math.gamma(nu + 1.0)
         total = term.copy()
         for m in range(14):
             term = -term * q / ((m + 1) * (m + nu + 1))
@@ -331,7 +293,7 @@ def _miller_table(nu: float):
     steps = array("d")
     for k in range(_MILLER_START, 0, -2):
         steps.extend((2.0 * (nu + k), (nu + k) * h[k // 2], 2.0 * (nu + (k - 1))))
-    return steps, gamma_fn(nu + 1.0)
+    return steps, math.gamma(nu + 1.0)
 
 
 @dataclass(frozen=True)

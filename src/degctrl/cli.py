@@ -3,9 +3,11 @@
 Subcommands: spectrum, biortho, synthesize, simulate, cost-sweep, verify.
 Configuration comes from flags or a key=value file (--config); flags win.
 Artifacts are deterministic: identical configuration (including --seed)
-produces byte-identical JSON/CSV, and every artifact embeds its resolved
-configuration. Exit status: 0 only if every internal oracle on the invoked
-path passed; 1 on numerical failure; 2 on usage errors.
+produces byte-identical JSON/CSV. The spectrum, biortho, cost_sweep and
+verify artifacts and trajectory.json embed the resolved configuration;
+control.json, control_samples.csv and trajectory.csv do not. Exit status:
+0 only if every oracle on the invoked path passed; 1 on numerical
+failure; 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -42,10 +44,10 @@ _OPTIONS = {
     "seed": (int, 0, ("synthesize", "simulate", "verify")),
     "format": (str, "json", ("spectrum", "cost-sweep")),
     "alphas": (str, None, ("cost-sweep",)),
-    "u0": (str, None, ("synthesize", "simulate", "cost-sweep")),
+    "u0": (str, None, ("synthesize", "simulate", "cost-sweep", "verify")),
     "target": (str, None, ("synthesize",)),
     "reach-K": (float, None, ("synthesize",)),
-    "grid": (int, 512, ("simulate",)),
+    "grid": (int, 512, ("simulate", "verify")),
 }
 
 #: the values an option accepts, for flags and config files alike

@@ -172,10 +172,10 @@ def verify(basis: SpectralBasis, fam: BiorthogonalFamily, mu0: MomentVector,
     def record(name, passed, metric):
         checks.append({"name": name, "passed": bool(passed), "metric": metric})
 
+    gap = basis.gap
     record("gap_certificate",
-           basis.gap["sqrt_lambda_1"] >= basis.gap["first_bound"] - _GAP_SLACK
-           and basis.gap["min_gap"] >= basis.gap["gap_bound"] - _GAP_SLACK,
-           basis.gap["min_gap"])
+           gap["sqrt_lambda_1"] >= gap["first_bound"] - _GAP_SLACK
+           and gap["min_gap"] >= gap["gap_bound"] - _GAP_SLACK, gap["min_gap"])
 
     resid = max(abs(bessel.bessel_j(basis.nu, m.zero).value) for m in basis.modes)
     slack = bessel._BRACKET_SLACK

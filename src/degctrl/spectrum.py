@@ -27,12 +27,13 @@ removes the x^{(1-a)/2} endpoint behaviour.
 
 The square-root eigenvalue ladder is uniformly separated over a in [0, 1):
 sqrt(lambda_1) >= 3 pi / 8 and consecutive gaps are >= 7 pi / 16. Both
-facts are rechecked numerically on every constructed basis and recorded in
-``SpectralBasis.gap``.
+facts are rechecked numerically on every constructed basis and derived
+afresh by ``SpectralBasis.gap``.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -75,7 +76,6 @@ class SpectralBasis:
     kappa: float
     modes: tuple[Mode, ...]
     p0: float                 # p(0) = int_0^1 s^{-a} ds = 1/(1-a)
-    gap: dict = field(compare=False)
     _rules: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
@@ -97,6 +97,15 @@ class SpectralBasis:
     @property
     def neumann_traces(self) -> np.ndarray:
         return np.array([m.neumann_trace for m in self.modes])
+
+    @property
+    def gap(self) -> dict:
+        """The uniform gap certificate, a fresh dict on every read."""
+        sq = self.kappa * self.zeros
+        gaps = np.diff(sq)
+        return {"sqrt_lambda_1": float(sq[0]), "first_bound": GAP_FIRST,
+                "min_gap": float(np.min(gaps)) if len(gaps) else float("inf"),
+                "gap_bound": GAP_CONSECUTIVE}
 
     @property
     def basis_id(self) -> str:
@@ -167,10 +176,16 @@ class MomentVector:
         return len(self.coefficients)
 
 
-def unit_moment(basis: SpectralBasis, n: int) -> MomentVector:
-    """Moment vector of the basis vector e_n (1-based)."""
+def _mode(basis: SpectralBasis, n: int) -> Mode:
+    """Mode n (1-based); ``UsageError`` unless 1 <= n <= N."""
     if not 1 <= n <= basis.n_modes:
         raise UsageError(f"mode index {n} outside 1..{basis.n_modes}")
+    return basis.modes[n - 1]
+
+
+def unit_moment(basis: SpectralBasis, n: int) -> MomentVector:
+    """Moment vector of the basis vector e_n (1-based)."""
+    _mode(basis, n)
     c = np.zeros(basis.n_modes)
     c[n - 1] = 1.0
     return MomentVector(alpha=basis.alpha, coefficients=c, basis_id=basis.basis_id)
@@ -182,24 +197,19 @@ _last_basis: tuple[str, SpectralBasis] | None = None
 
 
 def _certified_basis(alpha, nu, kappa, modes) -> SpectralBasis:
-    """Attach the gap certificate to ``modes``; raise if it fails."""
-    sq = kappa * np.array([m.zero for m in modes])
-    gaps = np.diff(sq)
-    gap = {
-        "sqrt_lambda_1": float(sq[0]),
-        "first_bound": GAP_FIRST,
-        "min_gap": float(np.min(gaps)) if len(gaps) else float("inf"),
-        "gap_bound": GAP_CONSECUTIVE,
-    }
-    if sq[0] < GAP_FIRST - _GAP_SLACK or (len(gaps) and np.min(gaps) < GAP_CONSECUTIVE - _GAP_SLACK):
+    """A basis of ``modes``; raise unless its gap certificate holds."""
+    basis = SpectralBasis(alpha=alpha, nu=nu, kappa=kappa, modes=tuple(modes),
+                          p0=1.0 / (1.0 - alpha))
+    gap = basis.gap
+    if (gap["sqrt_lambda_1"] < GAP_FIRST - _GAP_SLACK
+            or gap["min_gap"] < GAP_CONSECUTIVE - _GAP_SLACK):
         raise DomainError(f"uniform gap certificate violated: {gap}")
-    return SpectralBasis(alpha=alpha, nu=nu, kappa=kappa, modes=tuple(modes),
-                         p0=1.0 / (1.0 - alpha), gap=gap)
+    return basis
 
 
 def _trace_prefactor(alpha: float, nu: float, kappa: float) -> float:
     """(1-a) sqrt(2 kappa) / (2^nu Gamma(nu+1)), so that r_n = this * j^nu / |J'_nu(j)|."""
-    return (1.0 - alpha) * np.sqrt(2.0 * kappa) / (2.0**nu * bessel.gamma_fn(nu + 1.0))
+    return (1.0 - alpha) * np.sqrt(2.0 * kappa) / (2.0**nu * math.gamma(nu + 1.0))
 
 
 def _exponents(alpha: float) -> tuple[float, float]:
@@ -248,9 +258,7 @@ def make_basis(alpha: float, n_modes: int) -> SpectralBasis:
 
 def eval_eigenfunction(basis: SpectralBasis, n: int, x) -> float | np.ndarray:
     """Phi_n(x) = C_n x^{(1-a)/2} J_nu(j_n x^kappa) on [0, 1]."""
-    if not 1 <= n <= basis.n_modes:
-        raise UsageError(f"mode index {n} outside 1..{basis.n_modes}")
-    mode = basis.modes[n - 1]
+    mode = _mode(basis, n)
     scalar = np.isscalar(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all((x >= 0.0) & (x <= 1.0)):
@@ -316,7 +324,7 @@ def trace_asymptotic_prefactor(basis: SpectralBasis) -> float:
 
 def source_coefficient(basis: SpectralBasis, n: int) -> float:
     """int_0^1 (p(x)/p(0)) Phi_n dx = r_n / lambda_n, p(x)/p(0) = 1 - x^{1-a}."""
-    mode = basis.modes[n - 1]
+    mode = _mode(basis, n)
     return mode.neumann_trace / mode.eigenvalue
 
 
@@ -325,9 +333,10 @@ def source_coefficient_quadrature(basis: SpectralBasis, n: int) -> float:
 
     In the substituted variable the weight is 1 - y^{2 nu}.
     """
+    mode = _mode(basis, n)
     rule = basis.tables(DEFAULT_PANELS)[0]
     integrand = (1.0 - rule.y ** (2.0 * basis.nu)) * rule.table[n - 1]
-    return basis.modes[n - 1].norm_const * float(np.dot(rule.common, integrand))
+    return mode.norm_const * float(np.dot(rule.common, integrand))
 
 
 def gram_matrix(basis: SpectralBasis) -> np.ndarray:

@@ -2,7 +2,7 @@ import degctrl
 
 #: names deleted because only tests used them: owner -> attributes
 DELETED = {
-    degctrl.bessel: ("landau_check", "LandauReport"),
+    degctrl.bessel: ("landau_check", "LandauReport", "gamma_fn"),
     degctrl.spectrum: ("state_l2_norm",),
     degctrl.cost: ("cost_global", "GLOBAL_TEST_SET"),
     degctrl.BiorthogonalFamily: ("span_coefficients", "sigma_norm",

@@ -73,6 +73,33 @@ class TestVerifyCommand:
         checks = verify(basis, fam, resolve_u0("mode:1", basis), 1e-6, seed=3)
         assert json.loads(json.dumps(checks)) == written
 
+    def test_u0_and_grid_flags_match_the_config_file(self, tmp_path, capsys):
+        args = ["verify", "--alpha", "0.5", "--modes", "6", "--out-dir", str(tmp_path)]
+        assert run_cli(args + ["--u0", "poly:x(1-x)", "--grid", "64"]) == 0
+        from_flags = (tmp_path / "verify.json").read_bytes()
+        (tmp_path / "run.cfg").write_text("u0=poly:x(1-x)\ngrid=64\n")
+        assert run_cli(args + ["--config", str(tmp_path / "run.cfg")]) == 0
+        assert (tmp_path / "verify.json").read_bytes() == from_flags
+        config = json.loads(from_flags)["config"]
+        assert (config["u0"], config["grid"]) == ("poly:x(1-x)", 64)
+
+
+class TestBiorthoCommand:
+    @pytest.mark.parametrize("modes, profiled", [(8, True), (2, False)])
+    def test_bound_profile_from_three_modes(self, modes, profiled, tmp_path, capsys):
+        assert run_cli(["biortho", "--alpha", "0.5", "--modes", str(modes),
+                        "--out-dir", str(tmp_path)]) == 0
+        assert "| PASS" in capsys.readouterr().out
+        payload = json.loads((tmp_path / "biortho.json").read_text())
+        assert ("bound_profile" in payload) is profiled
+
+    def test_zero_mean_failure_exits_one(self, tmp_path, capsys):
+        # the family certifies at T = 0.05, but its zero-mean value does not
+        assert run_cli(["biortho", "--alpha", "0.5", "--modes", "6", "--horizon",
+                        "0.05", "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().out.rstrip().endswith("| FAIL")
+        assert (tmp_path / "biortho.json").exists()
+
 
 class TestSynthesizeCommand:
     def test_null_control(self, tmp_path, capsys):
@@ -134,6 +161,17 @@ class TestCostSweepCommand:
         for line in lines[2:]:
             row = dict(zip(header, line.split(",")))
             assert float(row["lower"]) <= float(row["upper"])
+
+    def test_failed_point_row(self, tmp_path, capsys):
+        # T = 0.02: alpha = 0 backs off to a passing N, alpha = 0.9 finds none
+        assert run_cli(["cost-sweep", "--alphas", "0,0.9", "--modes", "8",
+                        "--horizon", "0.02", "--u0", "mode:1",
+                        "--out-dir", str(tmp_path)]) == 1
+        assert "lower<=upper FAIL" in capsys.readouterr().out
+        passed, failed = json.loads((tmp_path / "cost_sweep.json").read_text())["rows"]
+        assert passed["ok"] is True and passed["upper"] is not None
+        assert (failed["alpha"], failed["upper"], failed["ok"]) == (0.9, None, False)
+        assert all(f"N={n}:" in failed["message"] for n in range(4, 9))
 
 
 class TestConfigFile:

@@ -1,9 +1,11 @@
 import json
 import math
 import os
+import pickle
 import sys
 import threading
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -53,6 +55,31 @@ class TestMakeBasis:
             assert sq[0] >= GAP_FIRST - 1e-12
             assert np.min(np.diff(sq)) >= GAP_CONSECUTIVE - 1e-12
             assert basis.gap["min_gap"] >= GAP_CONSECUTIVE - 1e-12
+
+    def test_gap_is_a_fresh_dict(self):
+        make_basis(0.1, 1)   # displace any kept basis of alpha 0.5
+        kept = make_basis(0.5, 4)
+        kept.gap["min_gap"] = 0.0
+        gap = make_basis(0.5, 4).gap
+        sq = kept.kappa * kept.zeros
+        assert gap["min_gap"] == float(np.min(np.diff(sq))) >= GAP_CONSECUTIVE
+        assert gap["sqrt_lambda_1"] == float(sq[0])
+        assert pickle.loads(pickle.dumps(kept)).gap == gap
+
+    def test_norm_consts_against_mpmath(self):
+        # C_n = sqrt(2 kappa) / |J'_nu(j)| at 40 digits, on the modes below
+        # the Hankel switchover: 8.8e-16 with math.gamma, 2.3e-15 with the
+        # 9-term Lanczos sum it replaced
+        worst = 0.0
+        with mp.workdps(40):
+            for alpha in np.arange(10) / 10:
+                basis = make_basis(float(alpha), 4)
+                assert np.all(basis.zeros <= bessel.SERIES_CUTOFF)
+                for m in basis.modes:
+                    exact = mp.sqrt(2 * mp.mpf(basis.kappa)) / abs(
+                        mp.besselj(mp.mpf(basis.nu), mp.mpf(m.zero), 1))
+                    worst = max(worst, abs(float(m.norm_const / exact - 1)))
+        assert worst < 1.5e-15
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -224,6 +251,15 @@ class TestSourceCoefficient:
     def test_positive(self):
         basis = make_basis(0.8, 6)
         assert all(source_coefficient(basis, n) > 0.0 for n in range(1, 7))
+
+    @pytest.mark.parametrize("read", [
+        source_coefficient, source_coefficient_quadrature,
+        lambda basis, n: eval_eigenfunction(basis, n, 0.5)],
+        ids=["closed_form", "quadrature", "eigenfunction"])
+    @pytest.mark.parametrize("n", [0, -1, 5])
+    def test_mode_index_range(self, read, n):
+        with pytest.raises(UsageError, match="outside 1..4"):
+            read(make_basis(0.6, 4), n)
 
 
 def limit_modes(lb, x):

@@ -36,6 +36,8 @@ CONFIGS = {
     # N = 40: zeros up to x ~ 125, deep in the Hankel regime
     "spectrum_a07_n40": ["spectrum", "--alpha", "0.7", "--modes", "40"],
     "biortho_a05_n8": ["biortho", "--alpha", "0.5", "--modes", "8"],
+    # N = 2: fewer than three modes, so biortho.json holds no bound_profile
+    "biortho_a05_n2": ["biortho", "--alpha", "0.5", "--modes", "2"],
     "biortho_a09_n10_t2": ["biortho", "--alpha", "0.9", "--modes", "10",
                            "--horizon", "2"],
     # T = 0.7: the certificate's nodes are inexact, N = 11 near the ceiling
@@ -87,6 +89,9 @@ CONFIGS = {
     "verify_a03_n6_t05": ["verify", "--alpha", "0.3", "--modes", "6",
                           "--horizon", "0.5", "--tol", "1e-7"],
     "verify_config_file": ["verify", "--config", "verify.cfg", "--modes", "6"],
+    # the flags that set what verify.cfg sets for u0 and grid
+    "verify_a05_n6_bump_grid64": ["verify", "--alpha", "0.5", "--modes", "6",
+                                  "--u0", "poly:x(1-x)", "--grid", "64"],
     "error_no_alpha": ["verify", "--modes", "4"],
     "error_verify_alpha_one": ["verify", "--alpha", "1.0", "--modes", "4"],
     "error_mode_out_of_range": ["simulate", "--alpha", "0.5", "--modes", "4",
