@@ -234,8 +234,8 @@ def build_biortho(lambdas, T: float, tol: float = DEFAULT_TOL) -> BiorthogonalFa
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or len(lam) < 1:
         raise DomainError("need a nonempty 1-D array of exponents")
-    if lam[0] <= 0.0 or np.any(np.diff(lam) <= 0.0):
-        raise DomainError("exponents must be positive and strictly increasing")
+    if not (lam[0] > 0.0 and np.all(np.diff(lam) > 0.0) and np.isfinite(lam[-1])):
+        raise DomainError("exponents must be finite, positive and strictly increasing")
     if not T > 0.0:
         raise DomainError(f"horizon must be positive, got {T}")
     if not np.isfinite(T):

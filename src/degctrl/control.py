@@ -262,9 +262,9 @@ class ReachabilityScore:
 
 
 def reachability_score(muT: MomentVector, alpha: float, K: float) -> ReachabilityScore:
-    """Score the target-decay condition with growth constant K > 0."""
-    if not K > 0.0:
-        raise UsageError(f"K must be positive, got {K}")
+    """Score the target-decay condition with a finite growth constant K > 0."""
+    if not 0.0 < K < np.inf:
+        raise UsageError(f"K must be finite and positive, got {K}")
     _, kappa = _exponents(alpha)
     mu = np.abs(muT.coefficients)
     m = np.arange(1, len(mu) + 1, dtype=float)

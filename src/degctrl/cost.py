@@ -27,8 +27,7 @@ Scaled products (1-alpha) * upper and (1-alpha) * lower trace the
 two-sided 1/(1-alpha) blow-up law; ``cost_sweep`` reports both bands.
 
 ``verify`` checks every stage of that chain. Its limits live here, but for
-the zero and gap slacks of ``bessel`` and ``spectrum`` and ``ORACLE_TOL``,
-which ``simulate`` keeps because ``evolve`` warns with it.
+the zero and gap slacks of ``bessel`` and ``spectrum``.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from .biortho import (BiorthogonalFamily, build_biortho, eval_sigma,
 from .control import moment_residual, synthesize
 from .errors import AccuracyError, DomainError, UsageError
 from .quadrature import panel_rule
-from .simulate import ORACLE_TOL, evolve
+from .simulate import evolve
 from .spectrum import (_GAP_SLACK, MomentVector, SpectralBasis, gram_matrix,
                        make_basis, make_limit_basis, neumann_trace_numeric,
                        project, source_coefficient,
@@ -53,6 +52,7 @@ from .spectrum import (_GAP_SLACK, MomentVector, SpectralBasis, gram_matrix,
 _MIN_RETRY_N = 4
 TERMINAL_TOL = 1e-5
 BOUNDARY_TOL = 1e-8
+ORACLE_TOL = 1e-6
 ZERO_MEAN_TOL = 1e-8
 _LIMIT_COEFF_FLOOR = 1e-8
 
@@ -102,8 +102,8 @@ def _moments(parsed, basis: SpectralBasis) -> MomentVector:
 def resolve_u0(u0, basis: SpectralBasis) -> MomentVector:
     """Turn a u0 description into a MomentVector against ``basis``.
 
-    Accepted forms: a MomentVector (checked against the basis), a callable
-    f(x) on [0,1] (projected), or a descriptor string:
+    Accepted forms: a callable f(x) on [0,1] (projected) or a descriptor
+    string:
 
     * ``mode:<n>``   -- n-th basis vector;
     * ``poly:x(1-x)`` -- the built-in bump profile x(1-x);
@@ -112,12 +112,6 @@ def resolve_u0(u0, basis: SpectralBasis) -> MomentVector:
 
     Malformed descriptors raise ``UsageError``.
     """
-    if isinstance(u0, MomentVector):
-        if u0.alpha != basis.alpha or len(u0) != basis.n_modes:
-            raise UsageError("moment vector does not match the basis "
-                             f"(alpha {u0.alpha} vs {basis.alpha}, "
-                             f"N {len(u0)} vs {basis.n_modes})")
-        return u0
     return _moments(_parse_u0(u0, basis.n_modes), basis)
 
 
@@ -241,8 +235,9 @@ def _check_state(u0: MomentVector, alpha: float) -> None:
 
 @dataclass(frozen=True)
 class CostUpper:
-    """Upper cost estimate with the mode count actually used and the
-    oracle readings that gated it."""
+    """Upper cost estimate with the mode count actually used; ``diagnostics``
+    maps each ``null_control`` check name to the reading that gated it, and
+    ``gram_condition`` to the family's."""
 
     value: float
     n_used: int
@@ -284,10 +279,8 @@ def cost_upper(alpha: float, u0: MomentVector, T: float, n_modes: int,
         if failures:
             trail.append(f"N={n}: null-control oracles failed: " + "; ".join(failures))
             continue
-        diag = dict(zip(("moment_residual_max", "boundary_terminal",
-                         "terminal_residual_max", "oracle_deviation"),
-                        (value for _, value, _ in checks)),
-                    gram_condition=fam.gram_condition)
+        diag = {name: value for name, value, _ in checks}
+        diag["gram_condition"] = fam.gram_condition
         return CostUpper(value=signal.norms["G_h1"], n_used=n, diagnostics=diag)
     raise AccuracyError(
         f"no mode count in [{_MIN_RETRY_N}, {n_modes}] passes for "
@@ -304,8 +297,8 @@ def cost_lower(alpha: float, u0: MomentVector, T: float,
     """
     if not 0.0 <= alpha < 1.0:
         raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
-    if not T > 0.0:
-        raise DomainError(f"horizon must be positive, got {T}")
+    if not 0.0 < T < np.inf:
+        raise DomainError(f"horizon must be finite and positive, got {T}")
     _check_state(u0, alpha)
     basis = make_basis(alpha, len(u0))
     lam = basis.eigenvalues
@@ -390,15 +383,11 @@ def cost_sweep(alphas, u0, T: float, n_modes: int,
                tol: float = 1e-6) -> CostReport:
     """Run upper and lower cost estimates over an alpha grid.
 
-    ``u0`` may be anything ``resolve_u0`` accepts except a raw
-    MomentVector (the coefficients must be re-projected per alpha). The
-    moment vector is scaled to unit l2 norm at each alpha, so points
-    measure cost per unit of initial data. Per-alpha failures are recorded
-    and the sweep continues.
+    ``u0`` may be anything ``resolve_u0`` accepts; it is projected afresh
+    at each alpha and scaled to unit l2 norm there, so points measure cost
+    per unit of initial data. Per-alpha failures are recorded and the
+    sweep continues.
     """
-    if isinstance(u0, MomentVector):
-        raise UsageError("cost_sweep needs a function-like u0 (callable or "
-                         "descriptor); moment vectors are alpha-specific")
     parsed = _parse_u0(u0, n_modes)
     n, f, _ = parsed
     limit_coeffs = (np.eye(n_modes)[n - 1] if f is None

@@ -36,7 +36,6 @@ larger than the N x (grid+1) trajectory.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +45,6 @@ from .control import ControlSignal
 from .errors import DomainError, UsageError
 from .spectrum import MomentVector, SpectralBasis
 
-ORACLE_TOL = 1e-6
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(12)
 
 
@@ -56,8 +54,8 @@ class Trajectory:
 
     ``v[i, j]`` is mode i+1 of the lifted state at t[j]; ``u_coeffs`` are
     the coefficients of the physical state u against the basis,
-    u_n = v_n + (r_n / lambda_n) G(t). ``oracle_deviation`` is the max
-    closed-form vs numeric-integrator gap over all modes and grid points.
+    u_n = v_n + (r_n / lambda_n) G(t). ``oracle_deviation``, the max closed-form
+    vs integrator gap over all modes and grid points, is gated by ``null_control``.
     """
 
     t: np.ndarray
@@ -138,8 +136,8 @@ def evolve(basis: SpectralBasis, u0: MomentVector, signal: ControlSignal,
     The trajectory is the closed form; the numeric integrator only serves
     as a cross-check, reported as ``oracle_deviation``. Both cost a few
     (grid+1) x (N+1) exponentials and matrix products, and no working
-    array is larger than a few times the trajectory. A deviation above
-    1e-6 emits a warning carrying the measured value.
+    array is larger than a few times the trajectory. The deviation is only
+    reported, never judged here: ``cost.null_control`` gates it.
     """
     if len(u0) != basis.n_modes:
         raise UsageError(f"u0 has {len(u0)} coefficients, basis {basis.n_modes}")
@@ -155,10 +153,6 @@ def evolve(basis: SpectralBasis, u0: MomentVector, signal: ControlSignal,
     v = _closed_form_modes(basis, signal, mu0, t, E)
     v_hat = _integrator_modes(basis, signal, mu0, t)
     deviation = float(np.max(np.abs(v - v_hat)))
-    if deviation > ORACLE_TOL:
-        warnings.warn(
-            f"closed-form and numeric trajectories deviate by {deviation:.3e} "
-            f"(> {ORACLE_TOL:.0e}); the grid may be too coarse", stacklevel=2)
     G_trace = signal.G_from_exponentials(t, E)
     u_coeffs = v + (basis.neumann_traces / basis.eigenvalues)[:, None] * G_trace[None, :]
     return Trajectory(t=t, v=v, G_trace=G_trace, u_coeffs=u_coeffs,

@@ -123,8 +123,7 @@ class SpectralBasis:
         call of its own. Filling is idempotent, so callers need no lock.
         """
         for panels in panel_counts:
-            if not (isinstance(panels, (int, np.integer)) and panels > 0):
-                raise DomainError(f"panels must be a positive int, got {panels!r}")
+            _require_positive_int("panels", panels)
         missing = [p for p in panel_counts if p not in self._rules]
         if missing:
             rules = [panel_rule(0.0, 1.0, p, DEFAULT_NODES) for p in missing]
@@ -174,6 +173,11 @@ class MomentVector:
 
     def __len__(self) -> int:
         return len(self.coefficients)
+
+
+def _require_positive_int(name: str, value) -> None:
+    if not (isinstance(value, (int, np.integer)) and value > 0):
+        raise DomainError(f"{name} must be a positive int, got {value!r}")
 
 
 def _mode(basis: SpectralBasis, n: int) -> Mode:
@@ -228,8 +232,7 @@ def make_basis(alpha: float, n_modes: int) -> SpectralBasis:
     alpha = float(alpha)
     if not 0.0 <= alpha < 1.0:
         raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
-    if n_modes < 1:
-        raise DomainError(f"need at least one mode, got {n_modes}")
+    _require_positive_int("n_modes", n_modes)
     key = repr(alpha)
     kept = _last_basis   # one read: another thread may replace it
     if kept is not None and kept[0] == key and n_modes <= kept[1].n_modes:
@@ -272,11 +275,8 @@ def eval_eigenfunction(basis: SpectralBasis, n: int, x) -> float | np.ndarray:
     return float(vals[0]) if scalar else vals
 
 
-def _phi_scalar_precise(basis: SpectralBasis, n: int, x: float) -> float:
-    """Scalar Phi_n through the certified series evaluator."""
-    if x <= 0.0:
-        return 0.0
-    mode = basis.modes[n - 1]
+def _phi_scalar_precise(basis: SpectralBasis, mode: Mode, x: float) -> float:
+    """Scalar Phi_n(x), x > 0, through the certified series evaluator."""
     ev = bessel.bessel_j(basis.nu, mode.zero * x**basis.kappa)
     return mode.norm_const * x ** ((1.0 - basis.alpha) / 2.0) * ev.value
 
@@ -309,11 +309,12 @@ def neumann_trace_numeric(basis: SpectralBasis, n: int, x_small: float) -> float
     decays like x^{2-a} (the next term of the ascending expansion), which
     in particular is O(x^{1-a}).
     """
+    mode = _mode(basis, n)
     if not 0.0 < x_small <= 1e-3:
         raise DomainError("x_small must lie in (0, 1e-3]")
     h = x_small * 1e-4
-    up = _phi_scalar_precise(basis, n, x_small + h)
-    dn = _phi_scalar_precise(basis, n, x_small - h)
+    up = _phi_scalar_precise(basis, mode, x_small + h)
+    dn = _phi_scalar_precise(basis, mode, x_small - h)
     return x_small**basis.alpha * (up - dn) / (2.0 * h)
 
 
@@ -362,10 +363,6 @@ class LimitBasis:
     zeros: np.ndarray
     jprime: np.ndarray   # |J'_0(j_{0,n})|
 
-    @property
-    def n_modes(self) -> int:
-        return len(self.zeros)
-
     def project(self, f) -> np.ndarray:
         """<f, Phi_n> = (1/|J'_0(j_n)|) int_0^1 2 y f(y^2) J_0(j_n y) dy."""
         y, w = panel_rule(0.0, 1.0, DEFAULT_PANELS, DEFAULT_NODES)
@@ -375,8 +372,7 @@ class LimitBasis:
 
 def make_limit_basis(n_modes: int) -> LimitBasis:
     """Build the alpha = 1 limit family from the zeros of J_0."""
-    if n_modes < 1:
-        raise DomainError(f"need at least one mode, got {n_modes}")
+    _require_positive_int("n_modes", n_modes)
     recs = [bessel.bessel_zero(0.0, n) for n in range(1, n_modes + 1)]
     return LimitBasis(zeros=np.array([r.zero for r in recs]),
                       jprime=np.array([abs(r.derivative) for r in recs]))

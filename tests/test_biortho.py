@@ -180,6 +180,13 @@ class TestBuild:
             with pytest.raises(DomainError):
                 build_biortho(np.array([1.0, 2.0]), 1.0, tol=tol)
 
+    @pytest.mark.parametrize("lam", [[1.0, np.nan, 3.0], [1.0, np.inf],
+                                     [np.nan, 2.0], [np.inf]],
+                             ids=["nan_inside", "inf_last", "nan_first", "inf_only"])
+    def test_nonfinite_exponents(self, lam):
+        with pytest.raises(DomainError, match="exponents must be finite"):
+            build_biortho(np.array(lam), 1.0)
+
     def test_conditioning_error_names_admissible_n(self):
         lam = make_basis(0.0, 16).eigenvalues
         with pytest.raises(ConditioningError) as err:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,23 @@ class TestSynthesizeCommand:
         assert err.startswith("numerical failure:")
         assert "--reach-K" in err
 
+    def test_missing_u0_is_a_usage_error(self, tmp_path, capsys):
+        assert run_cli(["synthesize", "--alpha", "0.5", "--modes", "6",
+                        "--out-dir", str(tmp_path)]) == 2
+        assert "--u0 is required" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_infinite_reach_k_is_a_usage_error(self, tmp_path, capsys):
+        # rejected before any NaN partial sum can reach the verdict
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["synthesize", "--alpha", "0.5", "--modes", "6",
+                            "--u0", "mode:1", "--target", "mode:2",
+                            "--reach-K", "inf", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "K must be finite and positive" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_stiff_target_fails_numerically(self, tmp_path, capsys):
         code = run_cli(["synthesize", "--alpha", "0", "--modes", "10",
                         "--horizon", "1", "--u0", "mode:1",
@@ -172,6 +190,24 @@ class TestCostSweepCommand:
         assert passed["ok"] is True and passed["upper"] is not None
         assert (failed["alpha"], failed["upper"], failed["ok"]) == (0.9, None, False)
         assert all(f"N={n}:" in failed["message"] for n in range(4, 9))
+
+
+    def test_single_alpha_flag_is_a_one_point_sweep(self, tmp_path, capsys):
+        assert run_cli(["cost-sweep", "--alpha", "0.5", "--modes", "6",
+                        "--u0", "mode:1", "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("1 alphas,")
+        rows = json.loads((tmp_path / "cost_sweep.json").read_text())["rows"]
+        assert [(r["alpha"], r["ok"]) for r in rows] == [(0.5, True)]
+
+    @pytest.mark.parametrize("flags,message", [
+        ([], "--alphas (or --alpha) is required"),
+        (["--alphas", "0.5,1.0"], "all sweep alphas must lie in [0, 1)")],
+        ids=["no_alpha", "alpha_one"])
+    def test_alpha_flags_are_checked(self, flags, message, tmp_path, capsys):
+        assert run_cli(["cost-sweep", *flags, "--u0", "mode:1",
+                        "--out-dir", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestConfigFile:

@@ -115,6 +115,12 @@ class TestSynthesize:
         with pytest.raises(UsageError):
             synthesize(basis, fam, wrong_alpha, zero_target(basis))
 
+    def test_family_of_other_exponents(self, laplace_setup):
+        basis, _ = laplace_setup
+        fam = build_biortho(make_basis(0.5, 6).eigenvalues, 1.0)
+        with pytest.raises(UsageError, match="exponents do not match"):
+            synthesize(basis, fam, unit_moment(basis, 1), zero_target(basis))
+
 
 class TestMomentResidual:
     def test_controlled_modes_below_tol(self):
@@ -147,6 +153,13 @@ class TestMomentResidual:
         sig = synthesize(basis, fam, zero, zero)
         res = moment_residual(basis, sig, unit_moment(basis, 1), zero)
         assert res[0] == pytest.approx(math.exp(-math.pi**2), rel=1e-12)
+
+    def test_negative_extra_modes(self, laplace_setup):
+        basis, fam = laplace_setup
+        zero = zero_target(basis)
+        sig = synthesize(basis, fam, zero, zero)
+        with pytest.raises(UsageError, match="n_extra must be nonnegative"):
+            moment_residual(basis, sig, zero, zero, n_extra=-1)
 
 
 class TestReachability:
@@ -182,6 +195,13 @@ class TestReachability:
         basis, _ = laplace_setup
         with pytest.raises(UsageError):
             reachability_score(zero_target(basis), 0.0, K=0.0)
+
+    @pytest.mark.parametrize("K", [math.inf, math.nan])
+    def test_requires_finite_k(self, laplace_setup, K):
+        # an infinite K turns every partial sum past the first into NaN
+        basis, _ = laplace_setup
+        with pytest.raises(UsageError, match="K must be finite and positive"):
+            reachability_score(unit_moment(basis, 2), 0.0, K=K)
 
 
 class TestExports:

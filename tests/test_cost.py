@@ -5,10 +5,9 @@ import pytest
 
 from degctrl import bessel
 from degctrl.biortho import build_biortho, eval_sigma
-from degctrl.cost import (BOUNDARY_TOL, TERMINAL_TOL, cost_lower, cost_sweep,
-                          cost_upper, resolve_u0)
-from degctrl.errors import AccuracyError, UsageError
-from degctrl.simulate import ORACLE_TOL
+from degctrl.cost import (BOUNDARY_TOL, ORACLE_TOL, TERMINAL_TOL, cost_lower,
+                          cost_sweep, cost_upper, resolve_u0)
+from degctrl.errors import AccuracyError, DomainError, UsageError
 from degctrl.quadrature import panel_rule
 from degctrl.spectrum import (MomentVector, make_basis, make_limit_basis,
                               project, unit_moment)
@@ -55,7 +54,7 @@ class TestCostUpper:
         up = cost_upper(0.0, mu, 1.0, 14)
         assert up.n_used in (11, 12)
         assert up.diagnostics["gram_condition"] < 1e14
-        assert up.diagnostics["moment_residual_max"] < 1e-6
+        assert up.diagnostics["moment_residuals"] < 1e-6
 
     def test_backoff_walks_past_oracle_failures(self):
         # at T = 0.02 the boundary return of N = 8..5 fails its limit while
@@ -63,10 +62,10 @@ class TestCostUpper:
         up = cost_upper(0.0, unit_moment(make_basis(0.0, 8), 1), 0.02, 8)
         assert up.n_used == 4
         d = up.diagnostics
-        assert d["moment_residual_max"] <= 1e-6
-        assert d["boundary_terminal"] <= BOUNDARY_TOL
-        assert d["terminal_residual_max"] <= TERMINAL_TOL
-        assert d["oracle_deviation"] <= ORACLE_TOL
+        assert d["moment_residuals"] <= 1e-6
+        assert d["boundary_return"] <= BOUNDARY_TOL
+        assert d["terminal_state"] <= TERMINAL_TOL
+        assert d["propagation_oracle"] <= ORACLE_TOL
 
     def test_backoff_walks_past_synthesis_accuracy_errors(self):
         # at N = 8 synthesize's closed-form norms miss their quadrature
@@ -74,7 +73,7 @@ class TestCostUpper:
         basis = make_basis(0.3, 8)
         up = cost_upper(0.3, resolve_u0("poly:x(1-x)", basis), 0.05, 8)
         assert up.n_used < 8
-        assert up.diagnostics["boundary_terminal"] <= BOUNDARY_TOL
+        assert up.diagnostics["boundary_return"] <= BOUNDARY_TOL
 
     def test_exhausted_backoff_lists_every_n_tried(self):
         with pytest.raises(AccuracyError) as err:
@@ -116,6 +115,11 @@ class TestCostLower:
         mu = project(basis, lambda x: x * (1.0 - x))
         val = cost_lower(0.99, mu, 1.0)
         assert np.isfinite(val) and val > 0.0
+
+    @pytest.mark.parametrize("T", [math.inf, 0.0, math.nan])
+    def test_horizon_must_be_finite_and_positive(self, T):
+        with pytest.raises(DomainError, match="horizon must be finite and positive"):
+            cost_lower(0.5, unit_moment(make_basis(0.5, 4), 1), T)
 
     def test_scaled_lower_bound_stabilizes(self):
         # (1-a) * lower approaches a positive limit as a -> 1
@@ -179,6 +183,15 @@ class TestCostSweep:
                             lambda *a: calls.append(a) or zero(*a))
         cost_sweep([0.1, 0.3, 0.5, 0.7, 0.9], "mode:1", 1.0, 12)
         assert len(calls) == 60
+
+
+class TestDiagnostics:
+    def test_keys_are_the_check_names(self):
+        # the names verify.json and the back-off trail give the four oracles
+        up = cost_upper(0.5, unit_moment(make_basis(0.5, 6), 1), 1.0, 6)
+        assert list(up.diagnostics) == ["moment_residuals", "boundary_return",
+                                        "terminal_state", "propagation_oracle",
+                                        "gram_condition"]
 
 
 class TestResolveU0:

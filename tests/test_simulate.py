@@ -8,7 +8,8 @@ import pytest
 
 from degctrl.biortho import build_biortho
 from degctrl.control import synthesize
-from degctrl.errors import UsageError
+from degctrl.cost import ORACLE_TOL, null_control
+from degctrl.errors import DomainError, UsageError
 from degctrl.quadrature import panel_rule
 from degctrl.simulate import _integrator_modes, evolve, terminal_error
 from degctrl.spectrum import MomentVector, make_basis, project, unit_moment
@@ -137,12 +138,19 @@ class TestEvolve:
         vals = [tails[n] for n in (4, 6, 8, 10)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
-    def test_warns_on_coarse_grid(self, laplace_run):
+    def test_coarse_grid_is_gated_not_warned(self, laplace_run):
+        # the deviation is reported once, as a field that null_control gates
         basis, fam = laplace_run
         mu0 = unit_moment(basis, 1)
         sig = synthesize(basis, fam, mu0, zero_target(basis))
-        with pytest.warns(UserWarning, match="deviate"):
-            evolve(basis, mu0, sig, grid_size=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = evolve(basis, mu0, sig, grid_size=2)
+        assert traj.oracle_deviation > ORACLE_TOL
+        *_, checks = null_control(basis, fam, mu0, 1e-6, grid_size=2)
+        (_, value, limit), = [c for c in checks if c[0] == "propagation_oracle"]
+        assert (value, limit) == (traj.oracle_deviation, ORACLE_TOL)
+        assert not value <= limit
 
     def test_size_validation(self, laplace_run):
         basis, fam = laplace_run
@@ -150,6 +158,22 @@ class TestEvolve:
         short = make_basis(0.0, 3)
         with pytest.raises(UsageError):
             evolve(basis, unit_moment(short, 1), sig)
+
+    def test_input_validation(self, laplace_run):
+        basis, fam = laplace_run
+        mu0 = unit_moment(basis, 1)
+        sig = synthesize(basis, fam, mu0, zero_target(basis))
+        other = MomentVector(alpha=0.5, coefficients=mu0.coefficients,
+                             basis_id=basis.basis_id)
+        with pytest.raises(UsageError, match="different alpha"):
+            evolve(basis, other, sig)
+        short = make_basis(0.0, 4)
+        short_sig = synthesize(short, build_biortho(short.eigenvalues, 1.0),
+                               unit_moment(short, 1), zero_target(short))
+        with pytest.raises(UsageError, match="different mode count"):
+            evolve(basis, mu0, short_sig)
+        with pytest.raises(DomainError, match="at least 2 grid intervals"):
+            evolve(basis, mu0, sig, grid_size=1)
 
 
 def per_step_integrator(basis, signal, mu0, t, gauss_nodes=12):

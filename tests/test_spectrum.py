@@ -89,6 +89,13 @@ class TestMakeBasis:
         with pytest.raises(DomainError):
             make_basis(0.5, 0)
 
+    @pytest.mark.parametrize("build", [lambda n: make_basis(0.5, n), make_limit_basis],
+                             ids=["basis", "limit_basis"])
+    @pytest.mark.parametrize("n_modes", [2.5, 0, "3"])
+    def test_mode_count_must_be_a_positive_int(self, build, n_modes):
+        with pytest.raises(DomainError, match="n_modes must be a positive int"):
+            build(n_modes)
+
     def test_json_roundtrip(self):
         basis = make_basis(0.5, 4)
         data = json.loads(json.dumps(basis.to_json_dict()))
@@ -221,6 +228,12 @@ class TestNeumannTrace:
                 for xs in (1e-3, 1e-4, 1e-5)]
         assert devs[1] < devs[0] * 10.0 ** -(1.0 - 0.5)
         assert devs[2] < devs[1] * 10.0 ** -(1.0 - 0.5)
+
+    @pytest.mark.parametrize("n", [0, -1, 7])
+    def test_mode_index_range(self, n):
+        # unchecked, n = 0 and -1 would read modes 6 and 5 by negative indexing
+        with pytest.raises(UsageError, match="outside 1..6"):
+            neumann_trace_numeric(make_basis(0.5, 6), n, 1e-4)
 
     def test_asymptotic_ratio(self):
         for alpha in (0.0, 0.5, 0.9):

@@ -80,6 +80,9 @@ CONFIGS = {
                                "--u0", "mode:1"],
     "cost_sweep_csv_state": ["cost-sweep", "--alphas", "0.3", "--modes", "6",
                              "--u0", "csv:profile.csv"],
+    # --alpha without --alphas: a one-point sweep
+    "cost_sweep_single_alpha": ["cost-sweep", "--alpha", "0.5", "--modes", "6",
+                                "--u0", "mode:1"],
     "verify_a0_n8": ["verify", "--alpha", "0", "--modes", "8"],
     "verify_a05_n8": ["verify", "--alpha", "0.5", "--modes", "8"],
     "verify_a05_n8_seed3": ["verify", "--alpha", "0.5", "--modes", "8", "--seed", "3"],
@@ -106,6 +109,12 @@ CONFIGS = {
     "error_verify_seed_negative": ["verify", "--alpha", "0.5", "--seed", "-1"],
     "error_sweep_modes_below_minimum": ["cost-sweep", "--alphas", "0.5",
                                         "--modes", "2"],
+    "error_sweep_no_alpha": ["cost-sweep", "--u0", "mode:1"],
+    "error_sweep_alpha_one": ["cost-sweep", "--alphas", "0.5,1.0", "--u0", "mode:1"],
+    "error_synthesize_no_u0": ["synthesize", "--alpha", "0.5", "--modes", "6"],
+    "error_synthesize_reach_k_inf": ["synthesize", "--alpha", "0.5", "--modes", "6",
+                                     "--u0", "mode:1", "--target", "mode:2",
+                                     "--reach-K", "inf"],
     # biortho reads neither --format nor --seed: argparse rejects both
     "error_biortho_format_seed": ["biortho", "--alpha", "0.5", "--modes", "8",
                                   "--format", "csv", "--seed", "9"],
