@@ -9,8 +9,7 @@ import numpy as np
 
 
 def csv_cell(v) -> str:
-    if type(v) is float:
-        return repr(v)
+    """A cell that is not exactly a float: write_csv formats those inline."""
     if v is None:
         return ""
     if isinstance(v, (bool, np.bool_)):
@@ -26,7 +25,8 @@ def write_csv(path, columns, rows, comment: str | None = None) -> None:
             fh.write(f"# {comment}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(csv_cell(v) for v in row) + "\n")
+            fh.write(",".join([repr(v) if type(v) is float else csv_cell(v)
+                               for v in row]) + "\n")
 
 
 def write_json(path, payload: dict) -> None:

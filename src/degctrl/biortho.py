@@ -95,6 +95,8 @@ def _solve_spd(G: np.ndarray, B: np.ndarray) -> np.ndarray:
 #: last, read-only arrays; replaced, never mutated
 _last_rule = (np.nan, np.zeros(0), np.zeros((0, 64), dtype=_LD),
               np.zeros((0, 32), dtype=_LD), np.zeros((0, 0), dtype=_LD))
+#: ((exponent bytes, repr(T), repr(tol)), family) of the last certified build
+_last_family = ((), None)
 
 
 def _quadrature_gram(lambdas_full: np.ndarray, T: float) -> np.ndarray:
@@ -229,8 +231,10 @@ def build_biortho(lambdas, T: float, tol: float = DEFAULT_TOL) -> BiorthogonalFa
     ``AccuracyError``); on 100 alphas in [0, 0.99], T in {0.5, 1, 2} and
     N = 8..16 every family it rejects has a residual above ``tol``.
     Neither error says which smaller N would pass. ``T`` and ``tol`` must
-    be finite and positive (``DomainError`` otherwise).
+    be finite and positive (``DomainError`` otherwise). The last certified
+    family is kept: a call with its exponent bits, ``T`` and ``tol`` returns it.
     """
+    global _last_family
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or len(lam) < 1:
         raise DomainError("need a nonempty 1-D array of exponents")
@@ -242,6 +246,10 @@ def build_biortho(lambdas, T: float, tol: float = DEFAULT_TOL) -> BiorthogonalFa
         raise DomainError(f"horizon must be finite, got {T}")
     if not 0.0 < tol < np.inf:
         raise DomainError(f"tol must be finite and positive, got {tol}")
+    key = (lam.tobytes(), repr(T), repr(tol))
+    kept = _last_family   # one read: another thread may replace it
+    if kept[0] == key:
+        return kept[1]
     n = len(lam)
     lams_full = np.concatenate([[0.0], lam])
     G = exponential_gram(lams_full, T)
@@ -261,9 +269,11 @@ def build_biortho(lambdas, T: float, tol: float = DEFAULT_TOL) -> BiorthogonalFa
             f"tol {tol:.1e} after refinement (N={n}, T={T}, cond={cond:.2e})")
     for arr in (lams_full, A, resid, G):   # the certificate covers these bits
         arr.flags.writeable = False
-    return BiorthogonalFamily(T=float(T), lambdas_full=lams_full,
-                              coeffs_reflected=A, gram_condition=cond,
-                              residual=resid, tol=tol, gram=G)
+    fam = BiorthogonalFamily(T=float(T), lambdas_full=lams_full,
+                             coeffs_reflected=A, gram_condition=cond,
+                             residual=resid, tol=tol, gram=G)
+    _last_family = (key, fam)
+    return fam
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from .quadrature import panel_rule
 from .spectrum import MomentVector, SpectralBasis, _exponents, make_basis
 
 _OVERFLOW_LOG = np.log(1e300)
+_MAX_LOG = np.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,9 @@ class ControlSignal:
     def save_csv(self, path, samples: int = 257) -> None:
         """Sampled (t, g, G) table for plotting."""
         t = np.linspace(0.0, self.T, samples)
-        write_csv(path, ("t", "g", "G"),
-                  np.column_stack((t, self.eval_g(t), self.eval_G(t))).tolist())
+        E = np.exp(np.outer(t - self.T, self.lambdas_full))
+        write_csv(path, ("t", "g", "G"), np.column_stack(
+            (t, E @ self.weights, self.G_from_exponentials(t, E))).tolist())
 
 
 def _accumulated(t, E, weights, lambdas_full, affine) -> np.ndarray:
@@ -262,14 +264,34 @@ class ReachabilityScore:
 
 
 def reachability_score(muT: MomentVector, alpha: float, K: float) -> ReachabilityScore:
-    """Score the target-decay condition with a finite growth constant K > 0."""
+    """Score the target-decay condition with a finite growth constant K > 0.
+
+    ``TargetStiffnessError`` names the first mode whose term or partial
+    sum lies beyond double range.
+    """
     if not 0.0 < K < np.inf:
         raise UsageError(f"K must be finite and positive, got {K}")
     _, kappa = _exponents(alpha)
     mu = np.abs(muT.coefficients)
     m = np.arange(1, len(mu) + 1, dtype=float)
-    terms = m**1.5 * mu * np.exp(K * kappa * np.pi * m)
-    sums = np.cumsum(terms)
+    growth = K * kappa * np.pi * m
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = m**1.5 * mu * np.exp(growth)
+        terms[mu == 0.0] = 0.0   # a zero coefficient adds exactly 0, never 0 * inf
+        for i in np.flatnonzero(np.isinf(terms)):
+            # e^growth or the product overflowed: redo the term in log space
+            lg = 1.5 * np.log(m[i]) + np.log(mu[i]) + growth[i]
+            if not lg < _MAX_LOG:
+                raise TargetStiffnessError(
+                    f"reachability term {i + 1} ~ e^{lg:.1f} at K = {K:.4g} is "
+                    f"beyond double range", mode=i + 1)
+            terms[i] = np.exp(lg)
+        sums = np.cumsum(terms)
+    if np.isinf(sums).any():
+        i = int(np.argmax(np.isinf(sums)))
+        raise TargetStiffnessError(
+            f"reachability partial sum {i + 1} at K = {K:.4g} is beyond double "
+            f"range", mode=i + 1)
     nz = np.nonzero(mu)[0]
     if len(nz) == 0 or nz[-1] < len(mu) - 1:
         verdict = "finitely-supported"
@@ -280,6 +302,7 @@ def reachability_score(muT: MomentVector, alpha: float, K: float) -> Reachabilit
             # unestablishable from the supplied data
             verdict = "fail"
         else:
-            ratios = tail[1:] / tail[:-1]
+            with np.errstate(over="ignore"):   # an infinite ratio fails
+                ratios = tail[1:] / tail[:-1]
             verdict = "geometric-decay-pass" if np.all(ratios < 1.0) else "fail"
     return ReachabilityScore(partial_sums=sums, verdict=verdict)

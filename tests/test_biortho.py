@@ -237,6 +237,66 @@ class TestBuild:
         assert data["residual_max"] < 1e-6
 
 
+def count_solves(monkeypatch):
+    """Start with no kept family; count the Cholesky solves of later builds."""
+    monkeypatch.setattr(biortho, "_last_family", ((), None))
+    calls = []
+
+    def counting(G, B):
+        calls.append(len(G))
+        return _solve_spd(G, B)
+
+    monkeypatch.setattr(biortho, "_solve_spd", counting)
+    return calls
+
+
+class TestKeptFamily:
+    def test_identical_call_returns_kept_family(self, monkeypatch):
+        calls = count_solves(monkeypatch)
+        lam = make_basis(0.5, 8).eigenvalues
+        fam = build_biortho(lam, 1.0)
+        again = build_biortho(lam.copy(), 1.0, tol=DEFAULT_TOL)
+        assert again is fam
+        assert calls == [9]
+
+    @pytest.mark.parametrize("change", ["exponent_bit", "T", "tol"])
+    def test_changed_key_rebuilds(self, change, monkeypatch):
+        calls = count_solves(monkeypatch)
+        lam = make_basis(0.5, 8).eigenvalues
+        fam = build_biortho(lam, 1.0)
+        args = {"lambdas": lam, "T": 1.0, "tol": DEFAULT_TOL}
+        if change == "exponent_bit":
+            moved = lam.copy()
+            moved[3] = np.nextafter(moved[3], np.inf)
+            args["lambdas"] = moved
+        else:
+            args[change] = {"T": 1.25, "tol": 2e-6}[change]
+        other = build_biortho(**args)
+        assert other is not fam
+        assert calls == [9, 9]
+        assert (other.T, other.tol) == (args["T"], args["tol"])
+        assert np.array_equal(other.lambdas, args["lambdas"])
+
+    def test_raising_build_is_not_kept(self, monkeypatch):
+        calls = count_solves(monkeypatch)
+        fam = build_biortho(LAPLACE_LAMBDAS[:4], 1.0)
+        for _ in range(2):
+            with pytest.raises(AccuracyError):
+                build_biortho(LAPLACE_LAMBDAS, 1.0, tol=1e-18)
+        assert calls == [5, 9, 9]
+        assert build_biortho(LAPLACE_LAMBDAS[:4], 1.0) is fam
+
+    def test_kept_arrays_are_read_only(self, monkeypatch):
+        count_solves(monkeypatch)
+        lam = make_basis(0.3, 6).eigenvalues
+        build_biortho(lam, 1.0)
+        fam = build_biortho(lam, 1.0)
+        assert biortho._last_family[1] is fam
+        for arr in (fam.lambdas_full, fam.coeffs_reflected, fam.residual, fam.gram):
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 99.0
+
+
 class TestEvalSigma:
     def test_value_at_horizon_is_coefficient_sum(self):
         fam = build_biortho(LAPLACE_LAMBDAS[:4], 1.0)

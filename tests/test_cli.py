@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from degctrl import build_biortho, make_basis, resolve_u0, verify
+from degctrl import biortho, build_biortho, make_basis, resolve_u0, spectrum, verify
 from degctrl._fmt import write_csv
 from degctrl.cli import main
 from degctrl.cost import null_control
@@ -145,6 +145,19 @@ class TestSynthesizeCommand:
                             "--reach-K", "inf", "--out-dir", str(tmp_path)])
         assert code == 2
         assert "K must be finite and positive" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_overflowing_reach_k_fails_numerically(self, tmp_path, capsys):
+        # K = 1000 takes the reachability terms beyond double range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["synthesize", "--alpha", "0.5", "--modes", "6",
+                            "--u0", "mode:1", "--target", "mode:2",
+                            "--reach-K", "1000", "--out-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: reachability term 2")
         assert not list(tmp_path.iterdir())
 
     def test_stiff_target_fails_numerically(self, tmp_path, capsys):
@@ -395,6 +408,52 @@ class TestCsvWriter:
         for name in ("traj", "ctrl"):
             assert ((tmp_path / f"{name}.csv").read_bytes()
                     == (tmp_path / f"{name}_ref.csv").read_bytes())
+
+
+class TestChainReuse:
+    """verify, synthesize and simulate on one argv, in one process: the
+    second and third commands reuse the first one's certified family and
+    write what each command writes on cold caches, byte for byte."""
+
+    COMMANDS = ("verify", "synthesize", "simulate")
+
+    @staticmethod
+    def argv(command, out_dir):
+        args = [command, "--alpha", repr(0.4371), "--modes", "8", "--horizon", "1",
+                "--seed", "1100013", "--out-dir", str(out_dir)]
+        return args if command == "verify" else args + ["--u0", "poly:x(1-x)"]
+
+    @staticmethod
+    def cold_caches(monkeypatch):
+        monkeypatch.setattr(spectrum, "_last_basis", None)
+        monkeypatch.setattr(biortho, "_last_rule", (np.nan, *biortho._last_rule[1:]))
+        monkeypatch.setattr(biortho, "_last_family", ((), None))
+
+    @staticmethod
+    def artifacts(out_dir):
+        return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+    def test_artifacts_match_cold_runs(self, tmp_path, monkeypatch, capsys):
+        out_dir = tmp_path / "out"
+        for command in self.COMMANDS:
+            self.cold_caches(monkeypatch)
+            assert run_cli(self.argv(command, out_dir)) == 0
+        cold = self.artifacts(out_dir), capsys.readouterr()
+        self.cold_caches(monkeypatch)
+        solves, solve = [], biortho._solve_spd
+
+        def counting(G, B):
+            solves.append(len(G))
+            return solve(G, B)
+
+        monkeypatch.setattr(biortho, "_solve_spd", counting)
+        for command in self.COMMANDS:
+            assert run_cli(self.argv(command, out_dir)) == 0
+        warm = self.artifacts(out_dir), capsys.readouterr()
+        assert solves == [9]
+        assert sorted(cold[0]) == ["control.json", "control_samples.csv",
+                                   "trajectory.csv", "trajectory.json", "verify.json"]
+        assert warm == cold
 
 
 class TestParserReuse:

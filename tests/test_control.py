@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,68 @@ class TestReachability:
         basis, _ = laplace_setup
         with pytest.raises(UsageError, match="K must be finite and positive"):
             reachability_score(unit_moment(basis, 2), 0.0, K=K)
+
+
+class TestReachabilityRange:
+    """Large finite K: a term or partial sum beyond double range is a named
+    failure, a zero coefficient adds exactly 0, and nothing warns."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @staticmethod
+    def target(basis, coefficients):
+        c = np.zeros(basis.n_modes)
+        c[:len(coefficients)] = coefficients
+        return MomentVector(alpha=basis.alpha, coefficients=c, basis_id=basis.basis_id)
+
+    def test_overflowing_term_names_mode_and_k(self):
+        basis = make_basis(0.5, 6)
+        with pytest.raises(TargetStiffnessError, match="term 2 .* K = 1000") as err:
+            reachability_score(unit_moment(basis, 2), 0.5, K=1000.0)
+        assert err.value.mode == 2
+
+    def test_overflowing_bump_target(self):
+        basis = make_basis(0.5, 6)
+        with pytest.raises(TargetStiffnessError, match="K = 300"):
+            reachability_score(project(basis, lambda x: x * (1.0 - x)), 0.5, K=300.0)
+
+    def test_zero_coefficients_add_exactly_zero(self, laplace_setup):
+        # e^{K pi m} overflows from m = 1 on, but 1e-300 e^{K pi} does not
+        basis, _ = laplace_setup
+        K = 230.0
+        score = reachability_score(self.target(basis, [1e-300]), 0.0, K=K)
+        assert score.verdict == "finitely-supported"
+        assert np.all(score.partial_sums == score.partial_sums[0])
+        assert score.partial_sums[0] == pytest.approx(
+            math.exp(math.log(1e-300) + K * math.pi), rel=1e-12)
+
+    def test_overflowing_partial_sum_names_mode(self, laplace_setup):
+        # two finite terms of about 1e308 each; their sum is not finite
+        basis, _ = laplace_setup
+        mu = [1e308 / math.exp(math.pi), 1e308 / (2.0**1.5 * math.exp(2.0 * math.pi))]
+        with pytest.raises(TargetStiffnessError, match="partial sum 2") as err:
+            reachability_score(self.target(basis, mu), 0.0, K=1.0)
+        assert err.value.mode == 2
+
+    def test_steep_tail_fails_without_warning(self, laplace_setup):
+        # term 4 over term 3 exceeds double range: an infinite ratio fails
+        basis, _ = laplace_setup
+        mu = MomentVector(alpha=0.0, coefficients=np.array([1, 1, 1e-308, 1, 1, 1.0]),
+                          basis_id=basis.basis_id)
+        assert reachability_score(mu, 0.0, K=1.0).verdict == "fail"
+
+    def test_finite_scores_keep_their_bits(self):
+        basis = make_basis(0.5, 6)
+        muT = project(basis, lambda x: x * (1.0 - x))
+        m = np.arange(1, 7, dtype=float)
+        kappa = 0.75
+        terms = m**1.5 * np.abs(muT.coefficients) * np.exp(0.5 * kappa * np.pi * m)
+        score = reachability_score(muT, 0.5, K=0.5)
+        assert np.array_equal(score.partial_sums, np.cumsum(terms))
 
 
 class TestExports:

@@ -207,7 +207,7 @@ class TestIntegratorIndependence:
     def test_oracle_deviation_follows_grid(self, alpha):
         basis, mu0, sig = self.bump_control(alpha)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
+            warnings.simplefilter("error")
             coarse = evolve(basis, mu0, sig, grid_size=4)
         assert coarse.oracle_deviation > 1e-8
         assert evolve(basis, mu0, sig).oracle_deviation < 1e-12
@@ -219,7 +219,8 @@ class TestIntegratorIndependence:
         t = np.linspace(0.0, sig.T, grid_size + 1)
         c = mu0.coefficients
         ref = per_step_integrator(basis, sig, c, t)
-        assert np.max(np.abs(_integrator_modes(basis, sig, c, t) - ref)) <= 1e-13
+        E = np.exp(np.outer(t - sig.T, sig.lambdas_full))
+        assert np.max(np.abs(_integrator_modes(basis, sig, c, t, E) - ref)) <= 1e-13
 
 
 def bump_to_rest(alpha, n_modes, T):

@@ -115,6 +115,11 @@ CONFIGS = {
     "error_synthesize_reach_k_inf": ["synthesize", "--alpha", "0.5", "--modes", "6",
                                      "--u0", "mode:1", "--target", "mode:2",
                                      "--reach-K", "inf"],
+    # K = 1000 takes the reachability terms beyond double range: a numerical
+    # failure naming mode 2, before any artifact is written
+    "error_synthesize_reach_k_overflow": ["synthesize", "--alpha", "0.5", "--modes", "6",
+                                          "--u0", "mode:1", "--target", "mode:2",
+                                          "--reach-K", "1000"],
     # biortho reads neither --format nor --seed: argparse rejects both
     "error_biortho_format_seed": ["biortho", "--alpha", "0.5", "--modes", "8",
                                   "--format", "csv", "--seed", "9"],
