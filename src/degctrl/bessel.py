@@ -25,7 +25,9 @@ paths run the same recurrence and agree there bit for bit. Against
 for orders 0 to 2, which lets zero residuals |J_nu(j)| < 1e-12 be met near
 x ~ 12; below the switchover each certificate bounds float64 rounding as
 well as truncation. Hankel's term constants are tabulated once, Miller's
-per order for the last few orders; both keep the order of operations.
+per order for the last few orders; both keep the order of operations. The
+scalar Hankel sum takes its terms in (odd, even) pairs, which keeps every
+float operation of the per-term sum and drops its branch on the parity.
 ``bessel_j_many`` sums Hankel's terms in place and masks only once some
 element has stopped, with every element's operations in the order of a
 plain per-term sum, so a quadrature table costs one short pass per term.
@@ -59,6 +61,9 @@ _MILLER_START = 40
 
 # (m, (2m-1)^2, 8m) of Hankel's term recursion; every float is exact
 _HANKEL_TERMS = tuple((m, float((2 * m - 1) ** 2), 8.0 * m) for m in range(1, 61))
+# the same constants as (odd, even) pairs: ((2m-1)^2, 8m, (2m+1)^2, 8m+8), m odd
+_HANKEL_PAIRS = tuple(odd[1:] + even[1:] for odd, even in
+                      zip(_HANKEL_TERMS[::2], _HANKEL_TERMS[1::2]))
 
 # A-priori rounding bound of the scalar path below SERIES_CUTOFF, in ulps
 # of the magnitude it works at: up to 4 from math.gamma(nu + 1), one per
@@ -119,27 +124,31 @@ def _series_eval(nu: float, x: float):
 def _asymptotic_eval(nu: float, x: float):
     """Hankel's expansion J_nu = sqrt(2/(pi x)) (P cos w - Q sin w).
 
-    P and Q are summed adaptively up to the smallest term; est_error is
-    the prefactor times the first omitted term.
+    P and Q are summed adaptively up to the smallest term, one Q term and
+    one P term per pass; est_error is the prefactor times the first
+    omitted term.
     """
     pref = math.sqrt(2.0 / (math.pi * x))
     omega = x - nu * math.pi / 2.0 - math.pi / 4.0
     # P = u_0 - u_2 + u_4 - ..., Q = u_1 - u_3 + ..., with
-    # u_m = u_{m-1} (mu - (2m-1)^2) / (8 m x); u carries the sign
-    # (-1)^floor(m/2) with which u_m enters its sum, size its magnitude
+    # u_m = u_{m-1} (mu - (2m-1)^2) / (8 m x), taken in (odd, even) pairs;
+    # u carries the sign (-1)^floor(m/2) with which u_m enters its sum,
+    # size the magnitude of the last term taken
     p_sum, q_sum, u, size = 1.0, 0.0, 1.0, 1.0
     mu = 4.0 * nu * nu
-    for m, sq, eight_m in _HANKEL_TERMS:
-        nxt = u * (mu - sq) / (eight_m * x)
-        mag = abs(nxt)
+    for sq_odd, den_odd, sq_even, den_even in _HANKEL_PAIRS:
+        u = u * (mu - sq_odd) / (den_odd * x)
+        mag = abs(u)
         if mag >= size or mag < 1e-18:
             break
-        if m % 2:
-            q_sum += nxt
-        else:
-            nxt = -nxt
-            p_sum += nxt
-        u, size = nxt, mag
+        q_sum += u
+        u = u * (mu - sq_even) / (den_even * x)
+        size = abs(u)
+        if size >= mag or size < 1e-18:
+            mag = size
+            break
+        u = -u
+        p_sum += u
     value = pref * (p_sum * math.cos(omega) - q_sum * math.sin(omega))
     return value, pref * mag
 

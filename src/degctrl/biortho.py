@@ -68,10 +68,7 @@ def exponential_gram(lambdas_full: np.ndarray, T: float,
     lam = np.asarray(lambdas_full, dtype=float)
     mu = lam if other is None else np.asarray(other, dtype=float)
     L = lam[:, None] + mu[None, :]
-    out = np.full_like(L, T)
-    nz = L != 0.0
-    out[nz] = (1.0 - np.exp(-L[nz] * T)) / L[nz]
-    return out
+    return np.divide(1.0 - np.exp(-L * T), L, out=np.full_like(L, T), where=L != 0.0)
 
 
 def _solve_spd(G: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -85,8 +82,9 @@ def _solve_spd(G: np.ndarray, B: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise AccuracyError("Cholesky failed: Gram not positive definite") from None
     X = np.linalg.solve(L.T, np.linalg.solve(L, Bs))
-    # one refinement step, residual accumulated in 80-bit
-    R = (Bs.astype(_LD) - Gs.astype(_LD) @ X.astype(_LD)).astype(float)
+    # one refinement step, residual accumulated in 80-bit; np.dot sums in
+    # matmul's order for long double, without its wrapper's cost
+    R = (Bs.astype(_LD) - np.dot(Gs.astype(_LD), X.astype(_LD))).astype(float)
     X = X + np.linalg.solve(L.T, np.linalg.solve(L, R))
     return X * d[:, None]
 
@@ -109,7 +107,7 @@ def _quadrature_gram(lambdas_full: np.ndarray, T: float) -> np.ndarray:
     The last call's rule is kept: at the same T a prefix of its exponents
     slices M, and an extension evaluates only new rows and M's new borders
     (the upper one as such: M is not bitwise symmetric). numpy's long-double
-    exp and matmul give each element the same bits whatever the array's shape.
+    exp and np.dot give each element the same bits whatever the array's shape.
     """
     global _last_rule
     lam = np.array(lambdas_full, dtype=float)
@@ -125,9 +123,9 @@ def _quadrature_gram(lambdas_full: np.ndarray, T: float) -> np.ndarray:
     PQ = np.concatenate([kPQ[:p], np.exp(-lam[p:, None].astype(_LD) * nodes)])
     P, Q = PQ[:, :32], PQ[:, 32:]
     Qw = np.concatenate([kQw[:p], Q[p:] * (h / 2 * _WG)])
-    M = (P[p:] @ P.T) * (Qw[p:] @ Q.T)
+    M = np.dot(P[p:], P.T) * np.dot(Qw[p:], Q.T)
     if p:   # the kept block and the new border above the diagonal
-        top = (P[:p] @ P[p:].T) * (Qw[:p] @ Q[p:].T)
+        top = np.dot(P[:p], P[p:].T) * np.dot(Qw[:p], Q[p:].T)
         M = np.concatenate([np.concatenate([kM[:p, :p], top], axis=1), M])
     for arr in (lam, PQ, Qw, M):
         arr.flags.writeable = False
@@ -238,7 +236,7 @@ def build_biortho(lambdas, T: float, tol: float = DEFAULT_TOL) -> BiorthogonalFa
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or len(lam) < 1:
         raise DomainError("need a nonempty 1-D array of exponents")
-    if not (lam[0] > 0.0 and np.all(np.diff(lam) > 0.0) and np.isfinite(lam[-1])):
+    if not (lam[0] > 0.0 and (lam[1:] > lam[:-1]).all() and np.isfinite(lam[-1])):
         raise DomainError("exponents must be finite, positive and strictly increasing")
     if not T > 0.0:
         raise DomainError(f"horizon must be positive, got {T}")
@@ -253,7 +251,8 @@ def build_biortho(lambdas, T: float, tol: float = DEFAULT_TOL) -> BiorthogonalFa
     n = len(lam)
     lams_full = np.concatenate([[0.0], lam])
     G = exponential_gram(lams_full, T)
-    cond = float(np.linalg.cond(G))
+    sv = np.linalg.svd(G, compute_uv=False).tolist()   # np.linalg.cond's bits
+    cond = sv[0] / sv[-1] if sv[-1] else np.inf
     if cond > CONDITION_LIMIT:
         raise ConditioningError(
             f"Gram condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e} for "
@@ -262,10 +261,11 @@ def build_biortho(lambdas, T: float, tol: float = DEFAULT_TOL) -> BiorthogonalFa
     A = _solve_spd(G, B)
 
     M = _quadrature_gram(lams_full, T)
-    resid = (M @ A.astype(_LD)).astype(float).T - B.T  # (N, N+1)
-    if np.max(np.abs(resid)) > tol:
+    resid = np.dot(M, A.astype(_LD)).astype(float).T - B.T  # (N, N+1)
+    worst = np.abs(resid).max()
+    if worst > tol:
         raise AccuracyError(
-            f"biorthogonality residual {np.max(np.abs(resid)):.3e} exceeds "
+            f"biorthogonality residual {worst:.3e} exceeds "
             f"tol {tol:.1e} after refinement (N={n}, T={T}, cond={cond:.2e})")
     for arr in (lams_full, A, resid, G):   # the certificate covers these bits
         arr.flags.writeable = False

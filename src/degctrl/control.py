@@ -67,13 +67,6 @@ class ControlSignal:
     def n_modes(self) -> int:
         return len(self.d)
 
-    def eval_g(self, t) -> np.ndarray | float:
-        scalar = np.isscalar(t)
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        E = np.exp(self.lambdas_full[None, :] * (t[:, None] - self.T))
-        vals = E @ self.weights
-        return float(vals[0]) if scalar else vals
-
     def eval_G(self, t) -> np.ndarray | float:
         scalar = np.isscalar(t)
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -171,10 +164,10 @@ def synthesize(basis: SpectralBasis, fam: BiorthogonalFamily,
             f"mu0 N={len(mu0)}, muT N={len(muT)}")
     if mu0.alpha != basis.alpha or muT.alpha != basis.alpha:
         raise UsageError("moment vectors were projected on a different alpha")
-    if not np.allclose(basis.eigenvalues, fam.lambdas, rtol=1e-12, atol=0.0):
+    lam = basis.eigenvalues
+    if not (np.abs(lam - fam.lambdas) <= 1e-12 * np.abs(fam.lambdas)).all():
         raise UsageError("family exponents do not match basis eigenvalues")
 
-    lam = basis.eigenvalues
     r = basis.neumann_traces
     T = fam.T
     grown = _exp_growth_terms(muT.coefficients, lam, T)

@@ -16,7 +16,9 @@ admissible control,
              = |mu0_n| e^{-lambda_n T} sqrt(2 lambda_n)
                / (r_n sqrt(1 - e^{-2 lambda_n T})),
 
-computed in the damped form shown (no e^{+lambda T} is ever materialized),
+computed in the damped form shown (no e^{+lambda T} is ever materialized)
+with 1 - e^{-2 lambda_n T} as -expm1(-2 lambda_n T), which does not cancel
+as lambda_n T -> 0,
 and ||G||_H1 >= ||G||_L2. The bound needs no Gram system, so it stays
 available arbitrarily close to alpha = 1. Near that end (alpha > 0.9) the
 maximizing mode is restricted to modes whose coefficient against the
@@ -305,7 +307,7 @@ def cost_lower(alpha: float, u0: MomentVector, T: float,
     r = basis.neumann_traces
     mu = np.abs(u0.coefficients)
     bounds = mu * np.exp(-lam * T) * np.sqrt(2.0 * lam) / (
-        r * np.sqrt(1.0 - np.exp(-2.0 * lam * T)))
+        r * np.sqrt(-np.expm1(-2.0 * lam * T)))
     if alpha > 0.9 and limit_coeffs is not None:
         lc = np.abs(limit_coeffs[:len(bounds)])
         stable = lc >= _LIMIT_COEFF_FLOOR * max(np.max(lc), _LIMIT_COEFF_FLOOR)

@@ -242,6 +242,7 @@ def make_basis(alpha: float, n_modes: int) -> SpectralBasis:
         return _certified_basis(alpha, last.nu, last.kappa, last.modes[:n_modes])
     nu, kappa = _exponents(alpha)
     trace_pref = _trace_prefactor(alpha, nu, kappa)
+    root = np.sqrt(2.0 * kappa)
     modes = []
     for n in range(1, n_modes + 1):
         rec = bessel.bessel_zero(nu, n)
@@ -251,7 +252,7 @@ def make_basis(alpha: float, n_modes: int) -> SpectralBasis:
             index=n,
             zero=j,
             eigenvalue=kappa**2 * j**2,
-            norm_const=np.sqrt(2.0 * kappa) / jp,
+            norm_const=root / jp,
             neumann_trace=trace_pref * j**nu / jp,
         ))
     basis = _certified_basis(alpha, nu, kappa, modes)

@@ -41,6 +41,12 @@ def bessel_zero_oracle(nu, n, digits=14):
     return float((lo + hi) / 2)
 
 
+def eval_g(sig, t):
+    """g(t) = sum_k weights[k] e^{lambda_k (t-T)} of a ControlSignal, on an array t."""
+    E = np.exp(sig.lambdas_full[None, :] * (np.asarray(t, dtype=float)[:, None] - sig.T))
+    return E @ sig.weights
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -15,6 +15,7 @@ DELETED = {
     degctrl.BesselEval: ("term_count",),
     degctrl.simulate: ("reconstruct_state",),
     degctrl.LimitBasis: ("eval", "gram"),
+    degctrl.ControlSignal: ("eval_g",),
 }
 
 

@@ -52,6 +52,27 @@ def hankel_per_term_oracle(nu, x):
     return vals.reshape(np.shape(x))
 
 
+def scalar_hankel_per_term(nu, x):
+    """_asymptotic_eval as a per-term loop that branches on m % 2, the form
+    it had before it took terms in (odd, even) pairs: (value, est_error)."""
+    pref = math.sqrt(2.0 / (math.pi * x))
+    omega = x - nu * math.pi / 2.0 - math.pi / 4.0
+    p_sum, q_sum, u, size = 1.0, 0.0, 1.0, 1.0
+    mu = 4.0 * nu * nu
+    for m in range(1, 61):
+        nxt = u * (mu - float((2 * m - 1) ** 2)) / (8.0 * m * x)
+        mag = abs(nxt)
+        if mag >= size or mag < 1e-18:
+            break
+        if m % 2:
+            q_sum += nxt
+        else:
+            nxt = -nxt
+            p_sum += nxt
+        u, size = nxt, mag
+    return pref * (p_sum * math.cos(omega) - q_sum * math.sin(omega)), pref * mag
+
+
 class TestBesselJ:
     def test_half_order_zero_at_pi(self):
         # J_{1/2}(x) = sqrt(2/(pi x)) sin x vanishes at pi
@@ -131,6 +152,20 @@ class TestBesselJ:
             assert vals.shape == ref.shape
             assert np.array_equal(vals, ref)
             assert np.array_equal(np.signbit(vals), np.signbit(ref))
+
+    @pytest.mark.parametrize("nu", [0.0, 0.1, 0.25, 1.0 / 3.0, 0.45, 0.5, 1.0, 1.5])
+    def test_scalar_hankel_equals_per_term_loop(self, nu):
+        # value and est_error bit for bit, on both stopping tests: near the
+        # switchover the terms stop decreasing, near 200 they fall below 1e-18
+        rng = np.random.default_rng([1907, int(1000 * nu)])
+        above = np.nextafter(SERIES_CUTOFF, np.inf)
+        xs = np.concatenate([above + 1e-12 * np.arange(8),
+                             rng.uniform(SERIES_CUTOFF, 20.0, 500),
+                             rng.uniform(SERIES_CUTOFF, 200.0, 500), [200.0]])
+        for x in xs.tolist():
+            got = bessel._asymptotic_eval(nu, x)
+            ref = scalar_hankel_per_term(nu, x)
+            assert [v.hex() for v in got] == [v.hex() for v in ref], x
 
     def test_domain(self):
         with pytest.raises(DomainError):

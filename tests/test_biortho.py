@@ -237,6 +237,84 @@ class TestBuild:
         assert data["residual_max"] < 1e-6
 
 
+def masked_exponential_gram(lambdas_full, T):
+    """exponential_gram as a masked gather and scatter of its nonzero sums."""
+    L = lambdas_full[:, None] + lambdas_full[None, :]
+    out = np.full_like(L, T)
+    nz = L != 0.0
+    out[nz] = (1.0 - np.exp(-L[nz] * T)) / L[nz]
+    return out
+
+
+def matmul_solve_spd(G, B):
+    """_solve_spd with its long-double refinement residual formed by ``@``."""
+    d = 1.0 / np.sqrt(np.diag(G))
+    Gs = G * d[:, None] * d[None, :]
+    Bs = B * d[:, None]
+    L = np.linalg.cholesky(Gs)
+    X = np.linalg.solve(L.T, np.linalg.solve(L, Bs))
+    R = (Bs.astype(np.longdouble)
+         - Gs.astype(np.longdouble) @ X.astype(np.longdouble)).astype(float)
+    X = X + np.linalg.solve(L.T, np.linalg.solve(L, R))
+    return X * d[:, None]
+
+
+def certificate_grid():
+    """(alpha, N, exponents 0, lambda_1..lambda_N) on 12 alphas and N = 8..16."""
+    for alpha in np.linspace(0.0, 0.99, 12):
+        lam = make_basis(float(alpha), 16).eigenvalues
+        for n in range(8, 17):
+            yield float(alpha), n, np.concatenate([[0.0], lam[:n]])
+
+
+class TestCertificateBits:
+    """Every number of the certificate path equals its plain numpy form:
+    the Gram condition np.linalg.cond, the products ``@`` in long double."""
+
+    @pytest.mark.parametrize("T", [0.5, 1.0, 2.0])
+    def test_gram_condition_is_numpy_cond(self, T):
+        gated = certified = 0
+        for alpha, n, lams_full in certificate_grid():
+            cond = float(np.linalg.cond(masked_exponential_gram(lams_full, T)))
+            try:
+                fam = build_biortho(lams_full[1:], T)
+            except ConditioningError as err:
+                gated += 1
+                assert err.condition.hex() == cond.hex(), (alpha, n)
+                continue
+            except AccuracyError:
+                continue
+            certified += 1
+            assert fam.gram_condition.hex() == cond.hex(), (alpha, n)
+        assert gated and certified
+
+    @pytest.mark.parametrize("T", [0.5, 1.0, 2.0])
+    def test_family_and_residual_are_matmul_forms(self, T):
+        # the Gram, the coefficients and the reflected residual byte for
+        # byte, and the residual a rejecting certificate reports
+        rejected = certified = 0
+        for alpha, n, lams_full in certificate_grid():
+            G = masked_exponential_gram(lams_full, T)
+            if np.linalg.cond(G) > biortho.CONDITION_LIMIT:
+                continue
+            B = np.eye(n + 1, n, k=-1)
+            A = matmul_solve_spd(G, B)
+            M = factored_quadrature_gram(lams_full, T)
+            resid = (M @ A.astype(np.longdouble)).astype(float).T - B.T
+            try:
+                fam = build_biortho(lams_full[1:], T)
+            except AccuracyError as err:
+                rejected += 1
+                worst = np.max(np.abs(resid))
+                assert worst > DEFAULT_TOL, (alpha, n)
+                assert str(err).startswith(f"biorthogonality residual {worst:.3e} "), (alpha, n)
+                continue
+            certified += 1
+            for got, ref in ((fam.gram, G), (fam.coeffs_reflected, A), (fam.residual, resid)):
+                assert got.tobytes() == ref.tobytes(), (alpha, n)
+        assert rejected and certified
+
+
 def count_solves(monkeypatch):
     """Start with no kept family; count the Cholesky solves of later builds."""
     monkeypatch.setattr(biortho, "_last_family", ((), None))

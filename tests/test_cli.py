@@ -11,6 +11,8 @@ from degctrl._fmt import write_csv
 from degctrl.cli import main
 from degctrl.cost import null_control
 
+from conftest import eval_g
+
 
 def run_cli(args):
     return main(list(args))
@@ -404,7 +406,7 @@ class TestCsvWriter:
         sig.save_csv(tmp_path / "ctrl.csv")
         t = np.linspace(0.0, sig.T, 257)
         _reference_csv(tmp_path / "ctrl_ref.csv", ("t", "g", "G"),
-                       zip(t, sig.eval_g(t), sig.eval_G(t)))
+                       zip(t, eval_g(sig, t), sig.eval_G(t)))
         for name in ("traj", "ctrl"):
             assert ((tmp_path / f"{name}.csv").read_bytes()
                     == (tmp_path / f"{name}_ref.csv").read_bytes())

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -120,6 +122,31 @@ class TestCostLower:
     def test_horizon_must_be_finite_and_positive(self, T):
         with pytest.raises(DomainError, match="horizon must be finite and positive"):
             cost_lower(0.5, unit_moment(make_basis(0.5, 4), 1), T)
+
+    @pytest.mark.parametrize("T", [1e-20, 1e-15, 1e-10, 1.0])
+    def test_small_horizons_stay_below_exact_bound(self, T):
+        # 1 - e^{-2 lambda T} cancels as lambda T -> 0: at alpha 0.5 the
+        # bound read 0.22% above its exact value at T = 1e-15, and at
+        # T = 1e-20 zero coefficients gave 0/0. The float64 formula rounds
+        # about nine times by at most half an ulp each: hence 8 ulps of margin.
+        for alpha in (0.0, 0.5, 0.9):
+            basis = make_basis(alpha, 4)
+            states = (unit_moment(basis, 1),
+                      MomentVector(alpha=alpha, coefficients=np.array([0.3, -0.5, 0.7, 0.1]),
+                                   basis_id=basis.basis_id))
+            for mu0 in states:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    lo = cost_lower(alpha, mu0, T)
+                with mp.workdps(40):
+                    exact = max(
+                        abs(mp.mpf(c)) * mp.exp(-mp.mpf(lam) * T) * mp.sqrt(2 * mp.mpf(lam))
+                        / (mp.mpf(r) * mp.sqrt(-mp.expm1(-2 * mp.mpf(lam) * T)))
+                        for c, lam, r in zip(mu0.coefficients.tolist(),
+                                             basis.eigenvalues.tolist(),
+                                             basis.neumann_traces.tolist()))
+                    assert math.isfinite(lo)
+                    assert lo <= exact * (1 + 8 * np.finfo(float).eps), (alpha, T, mu0)
 
     def test_scaled_lower_bound_stabilizes(self):
         # (1-a) * lower approaches a positive limit as a -> 1

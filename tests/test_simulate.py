@@ -14,6 +14,8 @@ from degctrl.quadrature import panel_rule
 from degctrl.simulate import _integrator_modes, evolve, terminal_error
 from degctrl.spectrum import MomentVector, make_basis, project, unit_moment
 
+from conftest import eval_g
+
 
 def zero_target(basis):
     return MomentVector(alpha=basis.alpha, coefficients=np.zeros(basis.n_modes),
@@ -76,7 +78,7 @@ class TestEvolve:
         for n in (1, 2, 4):
             lam = basis.eigenvalues[n - 1]
             r = basis.neumann_traces[n - 1]
-            duhamel = -(r / lam) * np.dot(w, np.exp(-lam * (1.0 - s)) * sig.eval_g(s))
+            duhamel = -(r / lam) * np.dot(w, np.exp(-lam * (1.0 - s)) * eval_g(sig, s))
             assert traj.terminal[n - 1] == pytest.approx(duhamel, abs=1e-10)
 
     def test_oracle_agreement(self):
@@ -190,7 +192,7 @@ def per_step_integrator(basis, signal, mu0, t, gauss_nodes=12):
         s = (xg + 1.0) * (h / 2.0) + a
         E = np.exp(-lam[:, None] * (b - s)[None, :])
         v[:, j + 1] = (np.exp(-lam * h) * v[:, j]
-                       - (r / lam) * (E @ (wg * signal.eval_g(s))) * (h / 2.0))
+                       - (r / lam) * (E @ (wg * eval_g(signal, s))) * (h / 2.0))
     return v
 
 

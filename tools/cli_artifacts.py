@@ -47,6 +47,9 @@ CONFIGS = {
     # value 7.9e-8 exceeds the 1e-8 limit, so biortho prints FAIL, exit 1
     "biortho_a05_n6_t005": ["biortho", "--alpha", "0.5", "--modes", "6",
                             "--horizon", "0.05"],
+    # N = 12 at T = 1: certifies with residual 9.90e-7 against tol 1e-6, so
+    # its gram_condition and residual_max bits sit where the decision turns
+    "biortho_a0_n12": ["biortho", "--alpha", "0", "--modes", "12"],
     # N = 16 at T = 1: the condition gate rejects before any solve
     "biortho_a0_n16_gated": ["biortho", "--alpha", "0", "--modes", "16"],
     "synthesize_a05_bump": ["synthesize", "--alpha", "0.5", "--modes", "8",
@@ -80,6 +83,10 @@ CONFIGS = {
                                "--u0", "mode:1"],
     "cost_sweep_csv_state": ["cost-sweep", "--alphas", "0.3", "--modes", "6",
                              "--u0", "csv:profile.csv"],
+    # T = 1e-20: e^{-2 lambda T} rounds to 1, so the lower bound needs expm1;
+    # the condition gate rejects N = 4 (condition inf)
+    "cost_sweep_horizon_1e20": ["cost-sweep", "--alphas", "0.5", "--modes", "4",
+                                "--horizon", "1e-20"],
     # --alpha without --alphas: a one-point sweep
     "cost_sweep_single_alpha": ["cost-sweep", "--alpha", "0.5", "--modes", "6",
                                 "--u0", "mode:1"],
