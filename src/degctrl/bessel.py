@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _require_int
 
 # Series/asymptotic switchover. Above this point the optimally truncated
 # Hankel expansion has error below ~4e-13 (first omitted term ~ e^{-2x});
@@ -346,8 +346,7 @@ def bessel_zero(nu: float, n: int) -> ZeroRecord:
     nu = float(nu)
     if not 0.0 <= nu <= 0.5:
         raise DomainError(f"zero location supports nu in [0, 1/2], got {nu}")
-    if n < 1:
-        raise DomainError(f"zero index must be >= 1, got {n}")
+    _require_int("zero index", n)
     lo, hi = lorch_muldoon_bracket(nu, n)
     x = min(max(mcmahon_guess(nu, n), lo), hi)
     iters = 0

@@ -50,7 +50,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AccuracyError, ConditioningError, DomainError, UsageError
+from .errors import AccuracyError, ConditioningError, DomainError, UsageError, _require_int
+from .quadrature import gauss_legendre
 
 CONDITION_LIMIT = 1e14
 DEFAULT_TOL = 1e-6
@@ -58,7 +59,7 @@ DEFAULT_TOL = 1e-6
 _LD = np.longdouble
 
 # 32-point Gauss-Legendre rule on [-1, 1]; the certificate uses it on 32 panels
-_XG, _WG = (v.astype(_LD) for v in np.polynomial.legendre.leggauss(32))
+_XG, _WG = (v.astype(_LD) for v in gauss_legendre(32))
 
 
 def exponential_gram(lambdas_full: np.ndarray, T: float,
@@ -171,7 +172,9 @@ class BiorthogonalFamily:
         return np.exp(-self.lambdas * self.T) * self.residual[:, 0]
 
     def _column(self, n: int) -> np.ndarray:
-        """Coefficients a[n][:] of tilde_sigma_n; ``UsageError`` unless 1 <= n <= N."""
+        """Coefficients a[n][:] of tilde_sigma_n; ``DomainError`` unless n is an
+        int, ``UsageError`` unless 1 <= n <= N."""
+        _require_int("sigma index", n, positive=False)
         if not 1 <= n <= self.n_modes:
             raise UsageError(f"sigma index {n} outside 1..{self.n_modes}")
         return self.coeffs_reflected[:, n - 1]

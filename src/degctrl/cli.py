@@ -153,9 +153,14 @@ def _cmd_spectrum(cfg) -> int:
     if alpha == 1.0:
         lb = make_limit_basis(n)
         lams = (0.5 * lb.zeros) ** 2
-        payload = {"alpha": 1.0, "limit_basis": True,
-                   "zeros": lb.zeros.tolist(), "eigenvalues": lams.tolist()}
-        _write_json(cfg, "spectrum.json", payload)
+        if cfg["format"] == "csv":
+            write_csv(_out(cfg, "spectrum.csv"), ("n", "zero", "eigenvalue"),
+                      zip(range(1, n + 1), lb.zeros.tolist(), lams.tolist()),
+                      _config_header(cfg))
+        else:
+            _write_json(cfg, "spectrum.json", {"alpha": 1.0, "limit_basis": True,
+                                               "zeros": lb.zeros.tolist(),
+                                               "eigenvalues": lams.tolist()})
         print("lambda = {" + ", ".join(f"{v:.10g}" for v in lams) + "} [limit basis] | PASS")
         return 0
     basis = make_basis(alpha, n)

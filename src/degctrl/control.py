@@ -36,7 +36,7 @@ import numpy as np
 
 from ._fmt import write_csv, write_json
 from .biortho import BiorthogonalFamily, exponential_gram
-from .errors import AccuracyError, TargetStiffnessError, UsageError
+from .errors import AccuracyError, TargetStiffnessError, UsageError, _require_int
 from .quadrature import panel_rule
 from .spectrum import MomentVector, SpectralBasis, _exponents, make_basis
 
@@ -98,6 +98,7 @@ class ControlSignal:
 
     def save_csv(self, path, samples: int = 257) -> None:
         """Sampled (t, g, G) table for plotting."""
+        _require_int("samples", samples, positive=False)
         t = np.linspace(0.0, self.T, samples)
         E = np.exp(np.outer(t - self.T, self.lambdas_full))
         write_csv(path, ("t", "g", "G"), np.column_stack(

@@ -43,7 +43,7 @@ from ._fmt import write_csv
 from .biortho import (BiorthogonalFamily, build_biortho, eval_sigma,
                       exponential_gram)
 from .control import moment_residual, synthesize
-from .errors import AccuracyError, DomainError, UsageError
+from .errors import AccuracyError, DomainError, UsageError, _require_int
 from .quadrature import panel_rule
 from .simulate import evolve
 from .spectrum import (_GAP_SLACK, MomentVector, SpectralBasis, gram_matrix,
@@ -158,6 +158,7 @@ def verify(basis: SpectralBasis, fam: BiorthogonalFamily, mu0: MomentVector,
     ``{name, passed, metric}`` entry per check, in ``verify.json`` order.
     ``seed`` draws the min-norm perturbations; mu0 is steered to rest
     for the four ``null_control`` oracles."""
+    _require_int("seed", seed, positive=False, error=UsageError)
     if seed < 0:
         raise UsageError(f"seed must be nonnegative, got {seed}")
     n = basis.n_modes
@@ -260,6 +261,7 @@ def cost_upper(alpha: float, u0: MomentVector, T: float, n_modes: int,
     if not 0.0 <= alpha < 1.0:
         raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
     _check_state(u0, alpha)
+    _require_int("n_modes", n_modes, positive=False)
     if n_modes < _MIN_RETRY_N:
         raise UsageError(f"cost_upper needs at least {_MIN_RETRY_N} modes, "
                          f"got {n_modes}")
@@ -390,6 +392,7 @@ def cost_sweep(alphas, u0, T: float, n_modes: int,
     per unit of initial data. Per-alpha failures are recorded and the
     sweep continues.
     """
+    _require_int("n_modes", n_modes, positive=False)
     parsed = _parse_u0(u0, n_modes)
     n, f, _ = parsed
     limit_coeffs = (np.eye(n_modes)[n - 1] if f is None

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer check."""
+
+import numpy as np
 
 
 class DegctrlError(Exception):
@@ -46,3 +48,11 @@ class TargetStiffnessError(DegctrlError, RuntimeError):
     def __init__(self, message, mode=None):
         super().__init__(message)
         self.mode = mode
+
+
+def _require_int(name: str, value, positive: bool = True, error=DomainError) -> None:
+    """Raise ``error`` unless ``value`` is a Python or numpy int, not a bool,
+    and, when ``positive``, at least 1. Ranges beyond that stay with the caller."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or positive and value < 1):
+        raise error(f"{name} must be {'a positive' if positive else 'an'} int, got {value!r}")

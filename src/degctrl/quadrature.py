@@ -9,10 +9,18 @@ from functools import lru_cache
 import numpy as np
 
 
+@lru_cache(maxsize=16)
+def gauss_legendre(nodes: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per count."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 @lru_cache(maxsize=64)
 def _unit_rule(panels: int, nodes: int):
     """Nodes/weights of the composite rule on [0, 1], cached."""
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    xg, wg = gauss_legendre(nodes)
     edges = np.linspace(0.0, 1.0, panels + 1)
     h = 1.0 / panels
     x = ((xg[None, :] + 1.0) * (h / 2.0) + edges[:-1, None]).ravel()

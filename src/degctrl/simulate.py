@@ -42,10 +42,11 @@ import numpy as np
 
 from ._fmt import write_csv
 from .control import ControlSignal
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, _require_int
+from .quadrature import gauss_legendre
 from .spectrum import MomentVector, SpectralBasis
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(12)
+_GAUSS_X, _GAUSS_W = gauss_legendre(12)
 
 
 @dataclass(frozen=True)
@@ -145,6 +146,7 @@ def evolve(basis: SpectralBasis, u0: MomentVector, signal: ControlSignal,
         raise UsageError("u0 was projected on a different alpha")
     if signal.n_modes != basis.n_modes:
         raise UsageError("control was synthesized for a different mode count")
+    _require_int("grid_size", grid_size, positive=False)
     if grid_size < 2:
         raise DomainError("need at least 2 grid intervals")
     t = np.linspace(0.0, signal.T, grid_size + 1)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bessel
-from .errors import DomainError, QuadratureError, UsageError
+from .errors import DomainError, QuadratureError, UsageError, _require_int
 from .quadrature import panel_rule
 
 GAP_FIRST = 3.0 * np.pi / 8.0
@@ -123,7 +123,7 @@ class SpectralBasis:
         call of its own. Filling is idempotent, so callers need no lock.
         """
         for panels in panel_counts:
-            _require_positive_int("panels", panels)
+            _require_int("panels", panels)
         missing = [p for p in panel_counts if p not in self._rules]
         if missing:
             rules = [panel_rule(0.0, 1.0, p, DEFAULT_NODES) for p in missing]
@@ -175,13 +175,10 @@ class MomentVector:
         return len(self.coefficients)
 
 
-def _require_positive_int(name: str, value) -> None:
-    if not (isinstance(value, (int, np.integer)) and value > 0):
-        raise DomainError(f"{name} must be a positive int, got {value!r}")
-
-
 def _mode(basis: SpectralBasis, n: int) -> Mode:
-    """Mode n (1-based); ``UsageError`` unless 1 <= n <= N."""
+    """Mode n (1-based); ``DomainError`` unless n is an int, ``UsageError``
+    unless 1 <= n <= N."""
+    _require_int("mode index", n, positive=False)
     if not 1 <= n <= basis.n_modes:
         raise UsageError(f"mode index {n} outside 1..{basis.n_modes}")
     return basis.modes[n - 1]
@@ -232,7 +229,7 @@ def make_basis(alpha: float, n_modes: int) -> SpectralBasis:
     alpha = float(alpha)
     if not 0.0 <= alpha < 1.0:
         raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
-    _require_positive_int("n_modes", n_modes)
+    _require_int("n_modes", n_modes)
     key = repr(alpha)
     kept = _last_basis   # one read: another thread may replace it
     if kept is not None and kept[0] == key and n_modes <= kept[1].n_modes:
@@ -373,7 +370,7 @@ class LimitBasis:
 
 def make_limit_basis(n_modes: int) -> LimitBasis:
     """Build the alpha = 1 limit family from the zeros of J_0."""
-    _require_positive_int("n_modes", n_modes)
+    _require_int("n_modes", n_modes)
     recs = [bessel.bessel_zero(0.0, n) for n in range(1, n_modes + 1)]
     return LimitBasis(zeros=np.array([r.zero for r in recs]),
                       jprime=np.array([abs(r.derivative) for r in recs]))

@@ -46,6 +46,20 @@ class TestSpectrumCommand:
         assert code == 0
         assert "limit basis" in capsys.readouterr().out
 
+    def test_limit_basis_csv_holds_the_json_fields(self, tmp_path, capsys):
+        assert run_cli(["spectrum", "--alpha", "1", "--modes", "3",
+                        "--out-dir", str(tmp_path / "json")]) == 0
+        assert run_cli(["spectrum", "--alpha", "1", "--modes", "3", "--format", "csv",
+                        "--out-dir", str(tmp_path / "csv")]) == 0
+        assert [p.name for p in (tmp_path / "csv").iterdir()] == ["spectrum.csv"]
+        lines = (tmp_path / "csv" / "spectrum.csv").read_text().splitlines()
+        config = json.loads(lines[0].removeprefix("# "))
+        assert config["format"] == "csv" and config["alpha"] == 1.0
+        assert lines[1] == "n,zero,eigenvalue"
+        data = json.loads((tmp_path / "json" / "spectrum.json").read_text())
+        assert lines[2:] == [f"{n},{z!r},{lam!r}" for n, (z, lam)
+                             in enumerate(zip(data["zeros"], data["eigenvalues"]), 1)]
+
 
 class TestVerifyCommand:
     def test_full_battery_passes(self, tmp_path, capsys):

@@ -30,6 +30,8 @@ CONFIGS = {
     "spectrum_a05_n6_csv": ["spectrum", "--alpha", "0.5", "--modes", "6",
                             "--format", "csv"],
     "spectrum_a1_n4": ["spectrum", "--alpha", "1.0", "--modes", "4"],
+    "spectrum_a1_n4_csv": ["spectrum", "--alpha", "1.0", "--modes", "4",
+                           "--format", "csv"],
     # N = 16: most zeros lie in the Hankel regime above x = 12.6
     "spectrum_a03_n16": ["spectrum", "--alpha", "0.3", "--modes", "16"],
     "spectrum_a09_n16": ["spectrum", "--alpha", "0.9", "--modes", "16"],
