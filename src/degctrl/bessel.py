@@ -158,8 +158,10 @@ def _eval_any_order(nu: float, x: float):
     if not 0.0 <= x < math.inf:
         raise DomainError("arguments must be finite and nonnegative")
     if x <= SERIES_CUTOFF:
-        return (*_series_eval(nu, x), "series")
-    return (*_asymptotic_eval(nu, x), "asymptotic")
+        value, est = _series_eval(nu, x)
+        return value, est, "series"
+    value, est = _asymptotic_eval(nu, x)
+    return value, est, "asymptotic"
 
 
 def bessel_j(nu: float, x: float) -> BesselEval:
@@ -295,14 +297,16 @@ def _miller(nu: float, x):
 @lru_cache(maxsize=4)
 def _miller_table(nu: float):
     """Steps (2(nu+k), (nu+k) h_{k/2}, 2(nu+k-1)), k = K, K-2, ..., 2, and Gamma(nu+1),
-    in one flat array: tables of float objects, one per basis, fragment the heap."""
-    h = [0.0, 1.0]
-    for k in range(1, _MILLER_START // 2):
-        h.append(h[k] * (nu + k) / (k + 1))
-    steps = array("d")
-    for k in range(_MILLER_START, 0, -2):
-        steps.extend((2.0 * (nu + k), (nu + k) * h[k // 2], 2.0 * (nu + (k - 1))))
-    return steps, math.gamma(nu + 1.0)
+    in one flat array: tables of float objects, one per basis, fragment the heap.
+    One upward pass, h_{i+1} = h_i (nu+i)/(i+1), lists the steps in reverse."""
+    flat = []
+    h = 1.0
+    for i in range(1, _MILLER_START // 2 + 1):   # k = 2i, h = h_i
+        nk = nu + 2 * i
+        flat += (2.0 * (nu + (2 * i - 1)), nk * h, 2.0 * nk)
+        h = h * (nu + i) / (i + 1)
+    flat.reverse()
+    return array("d", flat), math.gamma(nu + 1.0)
 
 
 @dataclass(frozen=True)
@@ -323,6 +327,8 @@ class ZeroRecord:
 #: residual tolerance |J_nu(j)| required of a certified zero
 ZERO_TOL = 1e-12
 _BRACKET_SLACK = 1e-9
+#: a Newton step below _STALL x has stalled; 4 eps as a float, not a numpy scalar
+_STALL = 4.0 * float(_EPS)
 
 
 def lorch_muldoon_bracket(nu: float, n: int) -> tuple[float, float]:
@@ -349,30 +355,33 @@ def bessel_zero(nu: float, n: int) -> ZeroRecord:
     _require_int("zero index", n)
     lo, hi = lorch_muldoon_bracket(nu, n)
     x = min(max(mcmahon_guess(nu, n), lo), hi)
+    evaluate = _eval_any_order
+    nu_up = nu + 1.0
+    inside_lo, inside_hi = lo - _BRACKET_SLACK, hi + _BRACKET_SLACK
     iters = 0
-    f = _eval_any_order(nu, x)[0]
-    best_x, best_f = x, f
-    converged = abs(f) < 1e-15
+    f = evaluate(nu, x)[0]
+    best_x, best_f, best_mag = x, f, abs(f)
+    converged = best_mag < 1e-15
     while not converged and iters < 50:
-        fp = (nu / x) * f - _eval_any_order(nu + 1.0, x)[0]
+        fp = (nu / x) * f - evaluate(nu_up, x)[0]
         if fp == 0.0:
             break
         step = f / fp
         x = x - step
         iters += 1
-        if not lo - _BRACKET_SLACK <= x <= hi + _BRACKET_SLACK:
+        if not inside_lo <= x <= inside_hi:
             raise ConvergenceError(f"Newton iterate {x} for j_({nu},{n}) escaped "
                                    f"the bracket [{lo}, {hi}] after {iters} steps")
-        f = _eval_any_order(nu, x)[0]
-        if abs(f) < abs(best_f):
-            best_x, best_f = x, f
+        f = evaluate(nu, x)[0]
+        if abs(f) < best_mag:
+            best_x, best_f, best_mag = x, f, abs(f)
         # polish to the evaluator noise floor, then stop on stalled steps
-        converged = abs(best_f) < 1e-15 or abs(step) < 4.0 * _EPS * x
-    if abs(best_f) >= ZERO_TOL:
+        converged = best_mag < 1e-15 or abs(step) < _STALL * x
+    if best_mag >= ZERO_TOL:
         raise ConvergenceError(
             f"zero j_({nu},{n}) stalled at {best_x} with residual "
-            f"{abs(best_f):.3e} >= {ZERO_TOL} after {iters} Newton steps "
+            f"{best_mag:.3e} >= {ZERO_TOL} after {iters} Newton steps "
             f"(bracket [{lo}, {hi}])")
-    fp = (nu / best_x) * best_f - _eval_any_order(nu + 1.0, best_x)[0]
+    fp = (nu / best_x) * best_f - evaluate(nu_up, best_x)[0]
     return ZeroRecord(zero=best_x, newton_iters=iters, bracket=(lo, hi),
                       derivative=fp)

@@ -46,7 +46,9 @@ without ever forming an under/overflowing number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,6 +59,7 @@ CONDITION_LIMIT = 1e14
 DEFAULT_TOL = 1e-6
 
 _LD = np.longdouble
+_ZERO = np.zeros(1)   # the adjoined exponent lambda_0
 
 # 32-point Gauss-Legendre rule on [-1, 1]; the certificate uses it on 32 panels
 _XG, _WG = (v.astype(_LD) for v in gauss_legendre(32))
@@ -65,19 +68,30 @@ _XG, _WG = (v.astype(_LD) for v in gauss_legendre(32))
 def exponential_gram(lambdas_full: np.ndarray, T: float,
                      other: np.ndarray | None = None) -> np.ndarray:
     """Gram of { e^{lambda_k (t-T)} } on [0, T], closed form; with ``other``
-    = {mu_j}, the cross-Gram int_0^T e^{(lambda_k + mu_j)(t-T)} dt."""
+    = {mu_j}, the cross-Gram int_0^T e^{(lambda_k + mu_j)(t-T)} dt.
+
+    Both exponent sets are taken increasing, so the last entry bounds the
+    exponents: once it times T leaves double range, e^{-(lambda + mu) T}
+    is 0 and the overflow on the way there is not reported.
+    """
     lam = np.asarray(lambdas_full, dtype=float)
     mu = lam if other is None else np.asarray(other, dtype=float)
     L = lam[:, None] + mu[None, :]
-    return np.divide(1.0 - np.exp(-L * T), L, out=np.full_like(L, T), where=L != 0.0)
+    if L.size and float(L[-1, -1]) * float(T) == math.inf:
+        with np.errstate(over="ignore"):
+            E = np.exp(-L * T)
+    else:   # no errstate context on the common path: the mode ladder calls this often
+        E = np.exp(-L * T)
+    return np.divide(1.0 - E, L, out=np.full_like(L, T), where=L != 0.0)
 
 
 def _solve_spd(G: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Equilibrated Cholesky solve with one extended-precision refinement
     step; ``AccuracyError`` if the Gram is not numerically positive definite."""
-    d = 1.0 / np.sqrt(np.diag(G))
-    Gs = G * d[:, None] * d[None, :]
-    Bs = B * d[:, None]
+    d = 1.0 / np.sqrt(G.diagonal())
+    rows = d[:, None]
+    Gs = G * rows * d
+    Bs = B * rows
     try:
         L = np.linalg.cholesky(Gs)
     except np.linalg.LinAlgError:
@@ -87,7 +101,26 @@ def _solve_spd(G: np.ndarray, B: np.ndarray) -> np.ndarray:
     # matmul's order for long double, without its wrapper's cost
     R = (Bs.astype(_LD) - np.dot(Gs.astype(_LD), X.astype(_LD))).astype(float)
     X = X + np.linalg.solve(L.T, np.linalg.solve(L, R))
-    return X * d[:, None]
+    return X * rows
+
+
+@lru_cache(maxsize=32)
+def _shift(n: int) -> np.ndarray:
+    """The (N+1) x N right-hand sides [e_1 .. e_N] of G a_n = e_n, read-only."""
+    B = np.eye(n + 1, n, k=-1)
+    B.flags.writeable = False
+    return B
+
+
+@lru_cache(maxsize=8)
+def _rule_nodes(T: float):
+    """Nodes [i h | (1 + x_q) h/2] and weights w_q h/2 of the 32 x 32 rule,
+    h = T/32, in long double and read-only; keyed on float(T)."""
+    h = _LD(T) / 32
+    nodes = np.concatenate([h * np.arange(32, dtype=_LD), h / 2 * (_XG + 1)])
+    weights = h / 2 * _WG
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 #: (T, exponents, [P | Q], Q W, M) of the rule _quadrature_gram evaluated
@@ -119,11 +152,10 @@ def _quadrature_gram(lambdas_full: np.ndarray, T: float) -> np.ndarray:
         p = 0
     if p == len(lam):
         return kM[:p, :p]
-    h = _LD(T) / 32
-    nodes = np.concatenate([h * np.arange(32, dtype=_LD), h / 2 * (_XG + 1)])
+    nodes, weights = _rule_nodes(float(T))
     PQ = np.concatenate([kPQ[:p], np.exp(-lam[p:, None].astype(_LD) * nodes)])
     P, Q = PQ[:, :32], PQ[:, 32:]
-    Qw = np.concatenate([kQw[:p], Q[p:] * (h / 2 * _WG)])
+    Qw = np.concatenate([kQw[:p], Q[p:] * weights])
     M = np.dot(P[p:], P.T) * np.dot(Qw[p:], Q.T)
     if p:   # the kept block and the new border above the diagonal
         top = np.dot(P[:p], P[p:].T) * np.dot(Qw[:p], Q[p:].T)
@@ -239,11 +271,12 @@ def build_biortho(lambdas, T: float, tol: float = DEFAULT_TOL) -> BiorthogonalFa
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or len(lam) < 1:
         raise DomainError("need a nonempty 1-D array of exponents")
-    if not (lam[0] > 0.0 and (lam[1:] > lam[:-1]).all() and np.isfinite(lam[-1])):
+    v = lam.tolist()   # float comparisons: a NaN fails each of them
+    if not (v[0] > 0.0 and v[-1] < math.inf and all(map(float.__lt__, v, v[1:]))):
         raise DomainError("exponents must be finite, positive and strictly increasing")
     if not T > 0.0:
         raise DomainError(f"horizon must be positive, got {T}")
-    if not np.isfinite(T):
+    if not T < math.inf:
         raise DomainError(f"horizon must be finite, got {T}")
     if not 0.0 < tol < np.inf:
         raise DomainError(f"tol must be finite and positive, got {tol}")
@@ -252,7 +285,7 @@ def build_biortho(lambdas, T: float, tol: float = DEFAULT_TOL) -> BiorthogonalFa
     if kept[0] == key:
         return kept[1]
     n = len(lam)
-    lams_full = np.concatenate([[0.0], lam])
+    lams_full = np.concatenate((_ZERO, lam))
     G = exponential_gram(lams_full, T)
     sv = np.linalg.svd(G, compute_uv=False).tolist()   # np.linalg.cond's bits
     cond = sv[0] / sv[-1] if sv[-1] else np.inf
@@ -260,7 +293,7 @@ def build_biortho(lambdas, T: float, tol: float = DEFAULT_TOL) -> BiorthogonalFa
         raise ConditioningError(
             f"Gram condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e} for "
             f"N={n}, T={T}", condition=cond)
-    B = np.eye(n + 1, n, k=-1)
+    B = _shift(n)
     A = _solve_spd(G, B)
 
     M = _quadrature_gram(lams_full, T)

@@ -34,6 +34,8 @@ the zero and gap slacks of ``bessel`` and ``spectrum``.
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -308,8 +310,11 @@ def cost_lower(alpha: float, u0: MomentVector, T: float,
     lam = basis.eigenvalues
     r = basis.neumann_traces
     mu = np.abs(u0.coefficients)
-    bounds = mu * np.exp(-lam * T) * np.sqrt(2.0 * lam) / (
-        r * np.sqrt(-np.expm1(-2.0 * lam * T)))
+    # once 2 lambda_N T leaves double range, e^{-lambda T} = 0 is the value
+    quiet = 2.0 * float(lam[-1]) * float(T) == math.inf
+    with np.errstate(over="ignore") if quiet else contextlib.nullcontext():
+        bounds = mu * np.exp(-lam * T) * np.sqrt(2.0 * lam) / (
+            r * np.sqrt(-np.expm1(-2.0 * lam * T)))
     if alpha > 0.9 and limit_coeffs is not None:
         lc = np.abs(limit_coeffs[:len(bounds)])
         stable = lc >= _LIMIT_COEFF_FLOOR * max(np.max(lc), _LIMIT_COEFF_FLOOR)

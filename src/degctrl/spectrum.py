@@ -69,7 +69,12 @@ _Rule = namedtuple("_Rule", "y w x common table")
 
 @dataclass(frozen=True)
 class SpectralBasis:
-    """First N Dirichlet eigenmodes of -(x^a y')'; ``tables`` keeps its rules."""
+    """First N Dirichlet eigenmodes of -(x^a y')'; ``tables`` keeps its rules.
+
+    ``zeros``, ``eigenvalues``, ``norm_consts`` and ``neumann_traces`` hold
+    the modes' fields in order; each read is a writable copy of columns
+    gathered once, when the basis is built.
+    """
 
     alpha: float
     nu: float
@@ -77,6 +82,16 @@ class SpectralBasis:
     modes: tuple[Mode, ...]
     p0: float                 # p(0) = int_0^1 s^{-a} ds = 1/(1-a)
     _rules: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    #: read-only rows zero, eigenvalue, norm_const, neumann_trace over the modes
+    _columns: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        modes = self.modes
+        cols = np.array([[m.zero for m in modes], [m.eigenvalue for m in modes],
+                         [m.norm_const for m in modes], [m.neumann_trace for m in modes]],
+                        dtype=float)
+        cols.flags.writeable = False
+        object.__setattr__(self, "_columns", cols)
 
     @property
     def n_modes(self) -> int:
@@ -84,24 +99,24 @@ class SpectralBasis:
 
     @property
     def zeros(self) -> np.ndarray:
-        return np.array([m.zero for m in self.modes])
+        return self._columns[0].copy()
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        return np.array([m.eigenvalue for m in self.modes])
+        return self._columns[1].copy()
 
     @property
     def norm_consts(self) -> np.ndarray:
-        return np.array([m.norm_const for m in self.modes])
+        return self._columns[2].copy()
 
     @property
     def neumann_traces(self) -> np.ndarray:
-        return np.array([m.neumann_trace for m in self.modes])
+        return self._columns[3].copy()
 
     @property
     def gap(self) -> dict:
         """The uniform gap certificate, a fresh dict on every read."""
-        sq = self.kappa * self.zeros
+        sq = self.kappa * self._columns[0]
         gaps = np.diff(sq)
         return {"sqrt_lambda_1": float(sq[0]), "first_bound": GAP_FIRST,
                 "min_gap": float(np.min(gaps)) if len(gaps) else float("inf"),
@@ -286,8 +301,12 @@ def project(basis: SpectralBasis, f, panels: int = DEFAULT_PANELS,
     ``f`` must accept an ndarray of points in [0, 1]. The quadrature error
     is estimated by doubling the panel count; estimates above ``tol``
     raise ``QuadratureError`` rather than passing silently. ``panels``
-    must be a positive int; both rules come from ``basis.tables``.
+    must be a positive int; both rules come from ``basis.tables``. ``tol``
+    must be finite and positive (``DomainError`` otherwise): no estimate
+    exceeds a NaN or infinite one, which would switch the check off.
     """
+    if not 0.0 < tol < np.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     coarse, fine = (basis.norm_consts * (rule.table @ (np.asarray(f(rule.x), dtype=float)
                                                        * rule.common))
                     for rule in basis.tables(panels, 2 * panels))

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -373,6 +374,56 @@ class TestKeptFamily:
         for arr in (fam.lambdas_full, fam.coeffs_reflected, fam.residual, fam.gram):
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 99.0
+
+
+def _outcome(lams, T):
+    """A family's bits, or the class and message of its rejection."""
+    try:
+        fam = build_biortho(lams, T)
+    except AccuracyError as err:
+        return type(err).__name__, str(err)
+    return (fam.T, fam.coeffs_reflected.tobytes(), fam.residual.tobytes(),
+            fam.gram.tobytes(), fam.gram_condition.hex())
+
+
+class TestPerHorizonConstants:
+    """The shift matrix and the rule's nodes and weights are computed once per
+    N and per T; a ladder that returns to an earlier T must not see another's."""
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.9])
+    def test_ladders_equal_cold_builds(self, alpha, monkeypatch):
+        lam = make_basis(alpha, 16).eigenvalues
+        ladder = range(8, 17)
+        cold = {}
+        for T in (0.5, 2.0):
+            for n in ladder:
+                monkeypatch.setattr(biortho, "_last_rule", (np.nan, *biortho._last_rule[1:]))
+                monkeypatch.setattr(biortho, "_last_family", ((), None))
+                biortho._shift.cache_clear()
+                biortho._rule_nodes.cache_clear()
+                cold[n, T] = _outcome(lam[:n], T)
+        kinds = {type(v[0]) for v in cold.values()}
+        assert kinds == {str, float}   # the ladder both rejects and certifies
+        for T in (0.5, 2.0, 0.5):
+            for given in (T, np.float64(T), np.array(T)):
+                # no kept rule: each ladder builds its rule from the per-T nodes
+                monkeypatch.setattr(biortho, "_last_rule", (np.nan, *biortho._last_rule[1:]))
+                for n in ladder:
+                    assert _outcome(lam[:n], given) == cold[n, T], (n, repr(given))
+
+
+class TestHorizonNearFloatMax:
+    def test_no_overflow_warning(self):
+        lams_full = np.concatenate([[0.0], make_basis(0.5, 6).eigenvalues])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            G = exponential_gram(lams_full, 1e308)
+            with pytest.raises(ConditioningError):
+                build_biortho(lams_full[1:], 1e308)
+        L = lams_full[:, None] + lams_full[None, :]
+        # e^{-(lambda_j + lambda_k) T} = 0: every entry but T itself is 1/L
+        assert G[0, 0] == 1e308
+        assert np.array_equal(G.ravel()[1:], 1.0 / L.ravel()[1:])
 
 
 class TestEvalSigma:

@@ -148,6 +148,13 @@ class TestCostLower:
                     assert math.isfinite(lo)
                     assert lo <= exact * (1 + 8 * np.finfo(float).eps), (alpha, T, mu0)
 
+    def test_horizon_near_float_max_warns_nothing(self):
+        # 2 lambda T overflows; e^{-lambda T} = 0 is the value, and so is the bound
+        mu0 = unit_moment(make_basis(0.5, 6), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cost_lower(0.5, mu0, 1e308) == 0.0
+
     def test_scaled_lower_bound_stabilizes(self):
         # (1-a) * lower approaches a positive limit as a -> 1
         vals = []

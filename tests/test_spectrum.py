@@ -11,7 +11,7 @@ import pytest
 
 from degctrl import bessel, spectrum
 from degctrl.bessel import bessel_j, bessel_j_prime
-from degctrl.errors import DomainError, UsageError
+from degctrl.errors import DomainError, QuadratureError, UsageError
 from degctrl.quadrature import panel_rule
 from degctrl.spectrum import (DEFAULT_NODES, DEFAULT_PANELS, GAP_CONSECUTIVE,
                               GAP_FIRST, eval_eigenfunction,
@@ -357,6 +357,68 @@ class TestBasisReuse:
     def test_signed_zero_alphas_stay_apart(self):
         assert make_basis(-0.0, 4).basis_id == "alpha=-0.0;N=4"
         assert make_basis(0.0, 4).basis_id == "alpha=0.0;N=4"
+
+
+#: the four per-mode arrays of a basis and the Mode field each one holds
+BASIS_ARRAYS = (("zeros", "zero"), ("eigenvalues", "eigenvalue"),
+                ("norm_consts", "norm_const"), ("neumann_traces", "neumann_trace"))
+
+
+class TestBasisArrays:
+    @staticmethod
+    def _bases(alpha, monkeypatch):
+        """Fresh builds of N = 1, 8, 16 and the slices make_basis returns
+        from its kept N = 16 basis."""
+        out = []
+        for n in (1, 8, 16):
+            monkeypatch.setattr(spectrum, "_last_basis", None)
+            out.append(make_basis(alpha, n))
+        kept = out[-1]
+        for n in (8, 1):
+            sliced = make_basis(alpha, n)
+            assert sliced is not kept and sliced.modes == kept.modes[:n]
+            out.append(sliced)
+        return out
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.99])
+    def test_every_read_holds_the_mode_fields(self, alpha, monkeypatch):
+        for basis in self._bases(alpha, monkeypatch):
+            for name, fld in BASIS_ARRAYS:
+                expect = np.array([getattr(m, fld) for m in basis.modes])
+                for _ in range(2):
+                    got = getattr(basis, name)
+                    assert got.dtype == np.float64 and got.shape == (basis.n_modes,)
+                    assert got.tobytes() == expect.tobytes(), (alpha, basis.n_modes, name)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.99])
+    def test_a_write_into_a_read_stays_there(self, alpha, monkeypatch):
+        for basis in self._bases(alpha, monkeypatch):
+            fields = [(m.zero, m.eigenvalue, m.norm_const, m.neumann_trace)
+                      for m in basis.modes]
+            for name, _ in BASIS_ARRAYS:
+                first = getattr(basis, name)
+                before = first.tobytes()
+                first[:] = -1.0
+                assert getattr(basis, name).tobytes() == before, (alpha, name)
+            assert [(m.zero, m.eigenvalue, m.norm_const, m.neumann_trace)
+                    for m in basis.modes] == fields
+
+
+class TestProjectTolerance:
+    @staticmethod
+    def step(x):
+        return np.where(x < 0.3, 0.0, 1.0)
+
+    def test_unresolved_step_raises(self):
+        # the jump at 0.3 leaves an estimated error of about 1.2e-3
+        with pytest.raises(QuadratureError, match="did not converge: estimated error 1.2"):
+            project(make_basis(0.5, 8), self.step)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        basis = make_basis(0.5, 8)
+        with pytest.raises(DomainError, match="tol must be finite and positive"):
+            project(basis, self.step, tol=tol)
 
 
 def _count_bessel_j_many(monkeypatch):

@@ -1,6 +1,6 @@
 """Record the CLI's artifacts, stdout, stderr and exit code on fixed configs.
 
-Usage: python tools/cli_artifacts.py <checkout> <outdir>
+Usage: python tools/cli_artifacts.py <checkout> <outdir> [<reference outdir>]
 
 Runs every config below with the package from ``<checkout>/src``, each in
 its own subprocess with ``<outdir>`` as working directory and a relative
@@ -8,11 +8,16 @@ its own subprocess with ``<outdir>`` as working directory and a relative
 not depend on where ``<outdir>`` lives. Config ``name`` leaves its
 artifacts in ``<outdir>/<name>/`` next to ``stdout.txt``, ``stderr.txt``
 and ``exit_code.txt``. Two checkouts produce byte-identical artifacts
-exactly when ``diff -r`` of their two outdirs is empty.
+exactly when their two outdirs hold the same files with the same bytes.
+
+Given a reference outdir, written earlier by this tool for another
+checkout, the tool then compares the two trees byte for byte, prints each
+file that differs or exists on one side only, and exits 1 if there is one.
 """
 
 from __future__ import annotations
 
+import filecmp
 import os
 import subprocess
 import sys
@@ -138,11 +143,28 @@ CONFIGS = {
 }
 
 
+def _files(root) -> set[str]:
+    """Paths of every file under ``root``, relative to it."""
+    return {os.path.relpath(os.path.join(top, name), root)
+            for top, _, names in os.walk(root) for name in names}
+
+
+def compare_trees(outdir, reference) -> list[str]:
+    """One line per file that differs between the trees or is missing from one."""
+    ours, theirs = _files(outdir), _files(reference)
+    lines = [f"only in {reference}: {path}" for path in sorted(theirs - ours)]
+    lines += [f"only in {outdir}: {path}" for path in sorted(ours - theirs)]
+    lines += [f"differs: {path}" for path in sorted(ours & theirs)
+              if not filecmp.cmp(os.path.join(outdir, path),
+                                 os.path.join(reference, path), shallow=False)]
+    return lines
+
+
 def main(argv) -> int:
-    if len(argv) != 2:
+    if len(argv) not in (2, 3):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    checkout, outdir = (os.path.abspath(p) for p in argv)
+    checkout, outdir, *reference = (os.path.abspath(p) for p in argv)
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "profile.csv"), "w") as fh:
         fh.write(PROFILE_CSV)
@@ -160,6 +182,12 @@ def main(argv) -> int:
             with open(os.path.join(outdir, name, fname), "w") as fh:
                 fh.write(text)
         print(f"{name:28s} exit {run.returncode}")
+    if reference:
+        diffs = compare_trees(outdir, reference[0])
+        for line in diffs:
+            print(line)
+        print(f"{len(diffs)} files differ from {reference[0]}")
+        return 1 if diffs else 0
     return 0
 
 
