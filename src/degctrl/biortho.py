@@ -52,7 +52,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AccuracyError, ConditioningError, DomainError, UsageError, _require_int
+from .errors import (AccuracyError, ConditioningError, DomainError, UsageError,
+                     _require_int, _require_real)
 from .quadrature import gauss_legendre
 
 CONDITION_LIMIT = 1e14
@@ -127,8 +128,6 @@ def _rule_nodes(T: float):
 #: last, read-only arrays; replaced, never mutated
 _last_rule = (np.nan, np.zeros(0), np.zeros((0, 64), dtype=_LD),
               np.zeros((0, 32), dtype=_LD), np.zeros((0, 0), dtype=_LD))
-#: ((exponent bytes, repr(T), repr(tol)), family) of the last certified build
-_last_family = ((), None)
 
 
 def _quadrature_gram(lambdas_full: np.ndarray, T: float) -> np.ndarray:
@@ -263,27 +262,24 @@ def build_biortho(lambdas, T: float, tol: float = DEFAULT_TOL) -> BiorthogonalFa
     early, before any solve, with ``ConditioningError`` (an
     ``AccuracyError``); on 100 alphas in [0, 0.99], T in {0.5, 1, 2} and
     N = 8..16 every family it rejects has a residual above ``tol``.
-    Neither error says which smaller N would pass. ``T`` and ``tol`` must
-    be finite and positive (``DomainError`` otherwise). The last certified
-    family is kept: a call with its exponent bits, ``T`` and ``tol`` returns it.
+    Neither error says which smaller N would pass. ``T`` and ``tol`` are
+    taken through ``float`` and must be finite and positive (``DomainError``
+    otherwise). Every call builds its own family.
     """
-    global _last_family
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or len(lam) < 1:
         raise DomainError("need a nonempty 1-D array of exponents")
     v = lam.tolist()   # float comparisons: a NaN fails each of them
     if not (v[0] > 0.0 and v[-1] < math.inf and all(map(float.__lt__, v, v[1:]))):
         raise DomainError("exponents must be finite, positive and strictly increasing")
-    if not T > 0.0:
+    horizon, tol_f = _require_real("horizon", T), _require_real("tol", tol)
+    if not horizon > 0.0:
         raise DomainError(f"horizon must be positive, got {T}")
-    if not T < math.inf:
+    if not horizon < math.inf:
         raise DomainError(f"horizon must be finite, got {T}")
-    if not 0.0 < tol < np.inf:
+    if not 0.0 < tol_f < math.inf:
         raise DomainError(f"tol must be finite and positive, got {tol}")
-    key = (lam.tobytes(), repr(T), repr(tol))
-    kept = _last_family   # one read: another thread may replace it
-    if kept[0] == key:
-        return kept[1]
+    T, tol = horizon, tol_f
     n = len(lam)
     lams_full = np.concatenate((_ZERO, lam))
     G = exponential_gram(lams_full, T)
@@ -305,11 +301,8 @@ def build_biortho(lambdas, T: float, tol: float = DEFAULT_TOL) -> BiorthogonalFa
             f"tol {tol:.1e} after refinement (N={n}, T={T}, cond={cond:.2e})")
     for arr in (lams_full, A, resid, G):   # the certificate covers these bits
         arr.flags.writeable = False
-    fam = BiorthogonalFamily(T=float(T), lambdas_full=lams_full,
-                             coeffs_reflected=A, gram_condition=cond,
-                             residual=resid, tol=tol, gram=G)
-    _last_family = (key, fam)
-    return fam
+    return BiorthogonalFamily(T=T, lambdas_full=lams_full, coeffs_reflected=A,
+                              gram_condition=cond, residual=resid, tol=tol, gram=G)
 
 
 @dataclass(frozen=True)

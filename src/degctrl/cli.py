@@ -137,8 +137,13 @@ def _write_json(cfg, name, payload) -> None:
 
 def _family(cfg):
     """The spectral basis and biorthogonal family the configuration names."""
-    basis = make_basis(_need_alpha(cfg), cfg["modes"])
-    return basis, build_biortho(basis.eigenvalues, cfg["horizon"], tol=cfg["tol"])
+    return _chain(repr(_need_alpha(cfg)), cfg["modes"], cfg["horizon"], cfg["tol"])
+
+
+@functools.lru_cache(maxsize=1)   # one pair for verify, synthesize, simulate in a process
+def _chain(alpha: str, modes, horizon, tol):   # repr(alpha) keeps -0.0 apart from 0.0
+    basis = make_basis(float(alpha), modes)
+    return basis, build_biortho(basis.eigenvalues, horizon, tol=tol)
 
 
 def _u0(cfg, basis):

@@ -36,7 +36,8 @@ import numpy as np
 
 from ._fmt import write_csv, write_json
 from .biortho import BiorthogonalFamily, exponential_gram
-from .errors import AccuracyError, TargetStiffnessError, UsageError, _require_int
+from .errors import (AccuracyError, DomainError, TargetStiffnessError, UsageError,
+                     _require_int)
 from .quadrature import panel_rule
 from .spectrum import MomentVector, SpectralBasis, _exponents, make_basis
 
@@ -217,7 +218,9 @@ def moment_residual(basis: SpectralBasis, signal: ControlSignal,
     i.e. the moment equation multiplied through by e^{-lambda_n T}: the
     scale on which a defect actually perturbs the terminal state. Modes
     beyond N (moment entries taken as 0) quantify truncation leakage.
+    ``n_extra`` must be a nonnegative int (``UsageError`` otherwise).
     """
+    _require_int("n_extra", n_extra, positive=False, error=UsageError)
     if n_extra < 0:
         raise UsageError("n_extra must be nonnegative")
     n = signal.n_modes
@@ -258,13 +261,16 @@ class ReachabilityScore:
 
 
 def reachability_score(muT: MomentVector, alpha: float, K: float) -> ReachabilityScore:
-    """Score the target-decay condition with a finite growth constant K > 0.
+    """Score the target-decay condition with a finite growth constant K > 0
+    at an alpha in [0, 1) (``DomainError`` otherwise).
 
     ``TargetStiffnessError`` names the first mode whose term or partial
     sum lies beyond double range.
     """
     if not 0.0 < K < np.inf:
         raise UsageError(f"K must be finite and positive, got {K}")
+    if not 0.0 <= alpha < 1.0:
+        raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
     _, kappa = _exponents(alpha)
     mu = np.abs(muT.coefficients)
     m = np.arange(1, len(mu) + 1, dtype=float)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,7 +45,8 @@ from ._fmt import write_csv
 from .biortho import (BiorthogonalFamily, build_biortho, eval_sigma,
                       exponential_gram)
 from .control import moment_residual, synthesize
-from .errors import AccuracyError, DomainError, UsageError, _require_int
+from .errors import (AccuracyError, DomainError, UsageError, _require_int,
+                     _require_real)
 from .quadrature import panel_rule
 from .simulate import evolve
 from .spectrum import (_GAP_SLACK, MomentVector, SpectralBasis, gram_matrix,
@@ -260,6 +261,11 @@ def cost_upper(alpha: float, u0: MomentVector, T: float, n_modes: int,
     count passes, one ``AccuracyError`` lists every N tried with its
     reason.
     """
+    return _upper(alpha, u0, T, n_modes, tol)
+
+
+def _upper(alpha, u0, T, n_modes, tol, basis=None) -> CostUpper:
+    """``cost_upper`` on ``basis``, built here when None; the back-off takes its prefixes."""
     if not 0.0 <= alpha < 1.0:
         raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
     _check_state(u0, alpha)
@@ -269,9 +275,10 @@ def cost_upper(alpha: float, u0: MomentVector, T: float, n_modes: int,
                          f"got {n_modes}")
     if len(u0) < n_modes:
         raise UsageError(f"u0 carries {len(u0)} coefficients, need {n_modes}")
+    basis = make_basis(alpha, n_modes) if basis is None else basis
     trail = []
     for n in range(n_modes, _MIN_RETRY_N - 1, -1):
-        basis = make_basis(alpha, n)
+        basis = replace(basis, modes=basis.modes[:n]) if n < basis.n_modes else basis
         mu0 = MomentVector(alpha=alpha, coefficients=u0.coefficients[:n],
                            basis_id=basis.basis_id)
         try:
@@ -299,22 +306,28 @@ def cost_lower(alpha: float, u0: MomentVector, T: float,
 
     Valid for every admissible control. ``limit_coeffs``, when supplied
     and alpha > 0.9, restricts the maximized modes to those with a stable
-    coefficient against the limit basis.
+    coefficient against the limit basis. ``T`` is taken through ``float``.
     """
+    return _lower(alpha, u0, T, limit_coeffs)
+
+
+def _lower(alpha, u0, T, limit_coeffs, basis=None) -> float:
+    """``cost_lower``, on ``basis`` when one with a mode per coefficient is given."""
     if not 0.0 <= alpha < 1.0:
         raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
-    if not 0.0 < T < np.inf:
+    horizon = _require_real("horizon", T)
+    if not 0.0 < horizon < np.inf:
         raise DomainError(f"horizon must be finite and positive, got {T}")
     _check_state(u0, alpha)
-    basis = make_basis(alpha, len(u0))
+    basis = make_basis(alpha, len(u0)) if basis is None else basis
     lam = basis.eigenvalues
     r = basis.neumann_traces
     mu = np.abs(u0.coefficients)
     # once 2 lambda_N T leaves double range, e^{-lambda T} = 0 is the value
-    quiet = 2.0 * float(lam[-1]) * float(T) == math.inf
+    quiet = 2.0 * float(lam[-1]) * horizon == math.inf
     with np.errstate(over="ignore") if quiet else contextlib.nullcontext():
-        bounds = mu * np.exp(-lam * T) * np.sqrt(2.0 * lam) / (
-            r * np.sqrt(-np.expm1(-2.0 * lam * T)))
+        bounds = mu * np.exp(-lam * horizon) * np.sqrt(2.0 * lam) / (
+            r * np.sqrt(-np.expm1(-2.0 * lam * horizon)))
     if alpha > 0.9 and limit_coeffs is not None:
         lc = np.abs(limit_coeffs[:len(bounds)])
         stable = lc >= _LIMIT_COEFF_FLOOR * max(np.max(lc), _LIMIT_COEFF_FLOOR)
@@ -412,9 +425,9 @@ def cost_sweep(alphas, u0, T: float, n_modes: int,
             raise UsageError("u0 projects to the zero vector; cannot normalize")
         mu0 = MomentVector(alpha=alpha, coefficients=mu0.coefficients / nrm,
                            basis_id=basis.basis_id)
-        lower = cost_lower(alpha, mu0, T, limit_coeffs=limit_coeffs)
+        lower = _lower(alpha, mu0, T, limit_coeffs, basis)
         try:
-            up = cost_upper(alpha, mu0, T, n_modes, tol=tol)
+            up = _upper(alpha, mu0, T, n_modes, tol, basis)
             points.append(CostPoint(alpha=alpha, upper=up.value, lower=lower,
                                     n_used=up.n_used, ok=True, message=""))
         except AccuracyError as err:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one integer check."""
+"""Exception types shared across the package, and its integer and real checks."""
 
 import numpy as np
 
@@ -56,3 +56,12 @@ def _require_int(name: str, value, positive: bool = True, error=DomainError) -> 
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or positive and value < 1):
         raise error(f"{name} must be {'a positive' if positive else 'an'} int, got {value!r}")
+
+
+def _require_real(name: str, value) -> float:
+    """``float(value)``; ``DomainError`` naming ``name`` when that fails (a
+    type without a float, or an int or Fraction beyond double range)."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be a real number, got {value!r}") from None

@@ -207,22 +207,6 @@ def unit_moment(basis: SpectralBasis, n: int) -> MomentVector:
     return MomentVector(alpha=basis.alpha, coefficients=c, basis_id=basis.basis_id)
 
 
-#: the basis make_basis built last, keyed by repr(alpha) so that -0.0 and
-#: 0.0 stay apart exactly as in basis_id; replaced, never mutated
-_last_basis: tuple[str, SpectralBasis] | None = None
-
-
-def _certified_basis(alpha, nu, kappa, modes) -> SpectralBasis:
-    """A basis of ``modes``; raise unless its gap certificate holds."""
-    basis = SpectralBasis(alpha=alpha, nu=nu, kappa=kappa, modes=tuple(modes),
-                          p0=1.0 / (1.0 - alpha))
-    gap = basis.gap
-    if (gap["sqrt_lambda_1"] < GAP_FIRST - _GAP_SLACK
-            or gap["min_gap"] < GAP_CONSECUTIVE - _GAP_SLACK):
-        raise DomainError(f"uniform gap certificate violated: {gap}")
-    return basis
-
-
 def _trace_prefactor(alpha: float, nu: float, kappa: float) -> float:
     """(1-a) sqrt(2 kappa) / (2^nu Gamma(nu+1)), so that r_n = this * j^nu / |J'_nu(j)|."""
     return (1.0 - alpha) * np.sqrt(2.0 * kappa) / (2.0**nu * math.gamma(nu + 1.0))
@@ -236,22 +220,13 @@ def _exponents(alpha: float) -> tuple[float, float]:
 def make_basis(alpha: float, n_modes: int) -> SpectralBasis:
     """Build the first ``n_modes`` eigenmodes for a given alpha in [0, 1).
 
-    The modes of a basis do not depend on its size: a call with the alpha
-    of the previous build returns that build for as many modes, and for
-    fewer a slice of it that equals a fresh build field for field.
+    Every call builds its own basis. A mode does not depend on the basis
+    size: the first n modes of a larger basis equal a build of n.
     """
-    global _last_basis
     alpha = float(alpha)
     if not 0.0 <= alpha < 1.0:
         raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
     _require_int("n_modes", n_modes)
-    key = repr(alpha)
-    kept = _last_basis   # one read: another thread may replace it
-    if kept is not None and kept[0] == key and n_modes <= kept[1].n_modes:
-        last = kept[1]
-        if n_modes == last.n_modes:
-            return last
-        return _certified_basis(alpha, last.nu, last.kappa, last.modes[:n_modes])
     nu, kappa = _exponents(alpha)
     trace_pref = _trace_prefactor(alpha, nu, kappa)
     root = np.sqrt(2.0 * kappa)
@@ -267,8 +242,12 @@ def make_basis(alpha: float, n_modes: int) -> SpectralBasis:
             norm_const=root / jp,
             neumann_trace=trace_pref * j**nu / jp,
         ))
-    basis = _certified_basis(alpha, nu, kappa, modes)
-    _last_basis = (key, basis)
+    basis = SpectralBasis(alpha=alpha, nu=nu, kappa=kappa, modes=tuple(modes),
+                          p0=1.0 / (1.0 - alpha))
+    gap = basis.gap
+    if (gap["sqrt_lambda_1"] < GAP_FIRST - _GAP_SLACK
+            or gap["min_gap"] < GAP_CONSECUTIVE - _GAP_SLACK):
+        raise DomainError(f"uniform gap certificate violated: {gap}")
     return basis
 
 

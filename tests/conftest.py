@@ -47,6 +47,13 @@ def eval_g(sig, t):
     return E @ sig.weights
 
 
+def family_bits(fam):
+    """Every field of a BiorthogonalFamily, arrays as bytes: families hold
+    arrays, so ``==`` on two of them is undefined."""
+    return (fam.T, fam.tol, fam.gram_condition, *(arr.tobytes() for arr in (
+        fam.lambdas_full, fam.coeffs_reflected, fam.residual, fam.gram)))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -127,6 +127,10 @@ INT_ARGUMENTS = {
     "verify_seed": (lambda c, k: degctrl.verify(c[0], c[1], c[2], 1e-6, seed=k), 1,
                     UsageError),
     "save_csv_samples": (lambda c, k: c[3].save_csv(os.devnull, samples=k), 257, DomainError),
+    "moment_residual_n_extra": (
+        lambda c, k: degctrl.moment_residual(c[0], c[3], c[2], degctrl.MomentVector(
+            alpha=0.5, coefficients=np.zeros(6), basis_id=c[0].basis_id), n_extra=k),
+        2, UsageError),
 }
 
 

@@ -1,5 +1,6 @@
 import json
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from degctrl.errors import (AccuracyError, ConditioningError, DomainError,
                             UsageError)
 from degctrl.quadrature import panel_rule
 from degctrl.spectrum import make_basis
+
+from conftest import family_bits
 
 LAPLACE_LAMBDAS = (np.arange(1, 9) * np.pi) ** 2
 
@@ -317,8 +320,7 @@ class TestCertificateBits:
 
 
 def count_solves(monkeypatch):
-    """Start with no kept family; count the Cholesky solves of later builds."""
-    monkeypatch.setattr(biortho, "_last_family", ((), None))
+    """Count the Cholesky solves of later builds."""
     calls = []
 
     def counting(G, B):
@@ -330,13 +332,16 @@ def count_solves(monkeypatch):
 
 
 class TestKeptFamily:
-    def test_identical_call_returns_kept_family(self, monkeypatch):
+    """No family is kept between calls: each build solves afresh."""
+
+    def test_identical_call_builds_an_equal_new_family(self, monkeypatch):
         calls = count_solves(monkeypatch)
         lam = make_basis(0.5, 8).eigenvalues
         fam = build_biortho(lam, 1.0)
         again = build_biortho(lam.copy(), 1.0, tol=DEFAULT_TOL)
-        assert again is fam
-        assert calls == [9]
+        assert again is not fam
+        assert family_bits(again) == family_bits(fam)
+        assert calls == [9, 9]
 
     @pytest.mark.parametrize("change", ["exponent_bit", "T", "tol"])
     def test_changed_key_rebuilds(self, change, monkeypatch):
@@ -362,18 +367,41 @@ class TestKeptFamily:
         for _ in range(2):
             with pytest.raises(AccuracyError):
                 build_biortho(LAPLACE_LAMBDAS, 1.0, tol=1e-18)
-        assert calls == [5, 9, 9]
-        assert build_biortho(LAPLACE_LAMBDAS[:4], 1.0) is fam
+        again = build_biortho(LAPLACE_LAMBDAS[:4], 1.0)
+        assert calls == [5, 9, 9, 5]
+        assert family_bits(again) == family_bits(fam)
 
-    def test_kept_arrays_are_read_only(self, monkeypatch):
-        count_solves(monkeypatch)
+    def test_kept_arrays_are_read_only(self):
         lam = make_basis(0.3, 6).eigenvalues
-        build_biortho(lam, 1.0)
         fam = build_biortho(lam, 1.0)
-        assert biortho._last_family[1] is fam
         for arr in (fam.lambdas_full, fam.coeffs_reflected, fam.residual, fam.gram):
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 99.0
+
+
+class TestRealArguments:
+    """T and tol go through float at entry."""
+
+    def test_fraction_and_int_arguments_build_the_float_family(self):
+        lam = make_basis(0.5, 6).eigenvalues
+        ref = build_biortho(lam, 0.5, tol=1e-6)
+        fam = build_biortho(lam, Fraction(1, 2), tol=Fraction(1, 10**6))
+        assert type(fam.T) is float and type(fam.tol) is float
+        assert family_bits(fam) == family_bits(ref)
+        assert family_bits(build_biortho(lam, 1)) == family_bits(build_biortho(lam, 1.0))
+
+    @pytest.mark.parametrize("name", ["T", "tol"])
+    def test_beyond_double_range_is_a_domain_error(self, name):
+        args = {"T": 1.0, "tol": DEFAULT_TOL, name: 10**400}
+        label = {"T": "horizon", "tol": "tol"}[name]
+        with pytest.raises(DomainError, match=f"{label} must be a real number"):
+            build_biortho(LAPLACE_LAMBDAS[:4], **args)
+
+    @pytest.mark.parametrize("name", ["T", "tol"])
+    def test_no_float_is_a_domain_error(self, name):
+        args = {"T": 1.0, "tol": DEFAULT_TOL, name: 1j}
+        with pytest.raises(DomainError, match="must be a real number, got 1j"):
+            build_biortho(LAPLACE_LAMBDAS[:4], **args)
 
 
 def _outcome(lams, T):
@@ -398,7 +426,6 @@ class TestPerHorizonConstants:
         for T in (0.5, 2.0):
             for n in ladder:
                 monkeypatch.setattr(biortho, "_last_rule", (np.nan, *biortho._last_rule[1:]))
-                monkeypatch.setattr(biortho, "_last_family", ((), None))
                 biortho._shift.cache_clear()
                 biortho._rule_nodes.cache_clear()
                 cold[n, T] = _outcome(lam[:n], T)

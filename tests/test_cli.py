@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -6,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from degctrl import biortho, build_biortho, make_basis, resolve_u0, spectrum, verify
+from degctrl import biortho, build_biortho, cli, make_basis, resolve_u0, verify
 from degctrl._fmt import write_csv
 from degctrl.cli import main
 from degctrl.cost import null_control
@@ -428,8 +429,9 @@ class TestCsvWriter:
 
 class TestChainReuse:
     """verify, synthesize and simulate on one argv, in one process: the
-    second and third commands reuse the first one's certified family and
-    write what each command writes on cold caches, byte for byte."""
+    second and third commands reuse the first one's basis and certified
+    family from the CLI chain cache and write what each command writes on
+    cold caches, byte for byte."""
 
     COMMANDS = ("verify", "synthesize", "simulate")
 
@@ -441,9 +443,8 @@ class TestChainReuse:
 
     @staticmethod
     def cold_caches(monkeypatch):
-        monkeypatch.setattr(spectrum, "_last_basis", None)
+        cli._chain.cache_clear()
         monkeypatch.setattr(biortho, "_last_rule", (np.nan, *biortho._last_rule[1:]))
-        monkeypatch.setattr(biortho, "_last_family", ((), None))
 
     @staticmethod
     def artifacts(out_dir):
@@ -470,6 +471,18 @@ class TestChainReuse:
         assert sorted(cold[0]) == ["control.json", "control_samples.csv",
                                    "trajectory.csv", "trajectory.json", "verify.json"]
         assert warm == cold
+
+    def test_signed_zero_alphas_keep_their_own_pair(self, tmp_path, monkeypatch):
+        # control.json embeds alpha: -0.0 after 0.0 must not reuse 0.0's pair
+        def control(alpha):
+            out_dir = tmp_path / alpha
+            assert run_cli(["synthesize", "--alpha", alpha, "--modes", "6",
+                            "--u0", "mode:1", "--out-dir", str(out_dir)]) == 0
+            return json.loads((out_dir / "control.json").read_text())["alpha"]
+
+        self.cold_caches(monkeypatch)
+        first, second = control("0.0"), control("-0.0")
+        assert (math.copysign(1.0, first), math.copysign(1.0, second)) == (1.0, -1.0)
 
 
 class TestParserReuse:

@@ -6,7 +6,7 @@ import pytest
 
 from degctrl.biortho import build_biortho, eval_sigma
 from degctrl.control import (moment_residual, reachability_score, synthesize)
-from degctrl.errors import TargetStiffnessError, UsageError
+from degctrl.errors import DomainError, TargetStiffnessError, UsageError
 from degctrl.quadrature import panel_rule
 from degctrl.spectrum import MomentVector, make_basis, project, unit_moment
 
@@ -205,6 +205,13 @@ class TestReachability:
         basis, _ = laplace_setup
         with pytest.raises(UsageError, match="K must be finite and positive"):
             reachability_score(unit_moment(basis, 2), 0.0, K=K)
+
+
+    @pytest.mark.parametrize("alpha", [2.0, math.nan, 1.0, -0.5])
+    def test_requires_alpha_in_domain(self, alpha):
+        # alpha 2 divided by zero in the exponents; NaN scored [0, nan, nan] as a pass
+        with pytest.raises(DomainError, match=r"alpha must lie in \[0, 1\)"):
+            reachability_score(unit_moment(make_basis(0.5, 6), 2), alpha, K=1.0)
 
 
 class TestReachabilityRange:

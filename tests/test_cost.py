@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -210,13 +211,60 @@ class TestCostSweep:
     def test_one_basis_per_alpha(self, monkeypatch):
         # cost_sweep, cost_lower and every cost_upper back-off step share
         # one build of the basis: 12 zeros per alpha, not 47
-        make_basis(0.99, 1)
         calls = []
         zero = bessel.bessel_zero
         monkeypatch.setattr(bessel, "bessel_zero",
                             lambda *a: calls.append(a) or zero(*a))
         cost_sweep([0.1, 0.3, 0.5, 0.7, 0.9], "mode:1", 1.0, 12)
         assert len(calls) == 60
+
+
+class TestOneBasisPerCall:
+    @staticmethod
+    def count_zeros(monkeypatch):
+        calls = []
+        zero = bessel.bessel_zero
+        monkeypatch.setattr(bessel, "bessel_zero", lambda *a: calls.append(a) or zero(*a))
+        return calls
+
+    def test_cost_upper_backs_off_on_prefixes_of_one_basis(self, monkeypatch):
+        mu0 = unit_moment(make_basis(0.0, 8), 1)
+        calls = self.count_zeros(monkeypatch)
+        # T = 0.02 walks N = 8 down to 4
+        assert cost_upper(0.0, mu0, 0.02, 8).n_used == 4
+        assert len(calls) == 8
+
+    def test_cost_lower_builds_one_basis(self, monkeypatch):
+        mu0 = unit_moment(make_basis(0.5, 6), 1)
+        calls = self.count_zeros(monkeypatch)
+        cost_lower(0.5, mu0, 1.0)
+        assert len(calls) == 6
+
+
+class TestRealHorizon:
+    """The horizon goes through float at entry: a Fraction or an int gives
+    the float's result, and one beyond double range is a DomainError."""
+
+    def test_fraction_and_int_horizons(self):
+        mu0 = unit_moment(make_basis(0.5, 6), 1)
+        assert cost_lower(0.5, mu0, Fraction(1, 2)) == cost_lower(0.5, mu0, 0.5)
+        assert cost_lower(0.5, mu0, 1) == cost_lower(0.5, mu0, 1.0)
+        up, ref = cost_upper(0.5, mu0, Fraction(1, 2), 6), cost_upper(0.5, mu0, 0.5, 6)
+        assert (up.value, up.n_used) == (ref.value, ref.n_used)
+
+    def test_horizon_beyond_double_range(self):
+        mu0 = unit_moment(make_basis(0.5, 6), 1)
+        for call in (lambda: cost_lower(0.5, mu0, 10**400),
+                     lambda: cost_upper(0.5, mu0, 10**400, 6)):
+            with pytest.raises(DomainError, match="horizon must be a real number"):
+                call()
+
+    def test_messages_name_the_given_value(self):
+        mu0 = unit_moment(make_basis(0.5, 4), 1)
+        with pytest.raises(DomainError, match="finite and positive, got 0$"):
+            cost_lower(0.5, mu0, 0)
+        with pytest.raises(DomainError, match="must be positive, got -1/2$"):
+            cost_upper(0.5, mu0, Fraction(-1, 2), 4)
 
 
 class TestDiagnostics:

@@ -4,12 +4,13 @@ import os
 import pickle
 import sys
 import threading
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from degctrl import bessel, spectrum
+from degctrl import bessel
 from degctrl.bessel import bessel_j, bessel_j_prime
 from degctrl.errors import DomainError, QuadratureError, UsageError
 from degctrl.quadrature import panel_rule
@@ -336,23 +337,20 @@ class TestMomentVector:
 
 class TestBasisReuse:
     @pytest.mark.parametrize("n", range(1, 13))
-    def test_prefix_equals_fresh_build(self, n, monkeypatch):
-        make_basis(0.1, 1)   # displace any kept basis of alpha 0.7
+    def test_prefix_equals_fresh_build(self, n):
+        # cost_upper's back-off takes prefixes of one basis
+        full = make_basis(0.7, 12)
+        prefix = replace(full, modes=full.modes[:n])
         fresh = make_basis(0.7, n)
-        make_basis(0.7, 12)
-        calls = []
-        zero = bessel.bessel_zero
-        monkeypatch.setattr(bessel, "bessel_zero",
-                            lambda *a: calls.append(a) or zero(*a))
-        reused = make_basis(0.7, n)
-        assert calls == []
-        assert reused == fresh
-        assert reused.gap == fresh.gap
-        assert reused.basis_id == fresh.basis_id == f"alpha=0.7;N={n}"
+        assert prefix == fresh
+        assert prefix.gap == fresh.gap
+        assert prefix.basis_id == fresh.basis_id == f"alpha=0.7;N={n}"
 
-    def test_same_size_returns_the_kept_basis(self):
-        # one object, so its J_nu tables serve every later call
-        assert make_basis(0.45, 8) is make_basis(0.45, 8)
+    def test_same_size_builds_an_equal_new_basis(self):
+        first, again = make_basis(0.45, 8), make_basis(0.45, 8)
+        assert again is not first and again == first
+        first.tables(DEFAULT_PANELS)   # a table of one is not the other's
+        assert again._rules == {}
 
     def test_signed_zero_alphas_stay_apart(self):
         assert make_basis(-0.0, 4).basis_id == "alpha=-0.0;N=4"
@@ -366,23 +364,15 @@ BASIS_ARRAYS = (("zeros", "zero"), ("eigenvalues", "eigenvalue"),
 
 class TestBasisArrays:
     @staticmethod
-    def _bases(alpha, monkeypatch):
-        """Fresh builds of N = 1, 8, 16 and the slices make_basis returns
-        from its kept N = 16 basis."""
-        out = []
-        for n in (1, 8, 16):
-            monkeypatch.setattr(spectrum, "_last_basis", None)
-            out.append(make_basis(alpha, n))
-        kept = out[-1]
-        for n in (8, 1):
-            sliced = make_basis(alpha, n)
-            assert sliced is not kept and sliced.modes == kept.modes[:n]
-            out.append(sliced)
-        return out
+    def _bases(alpha):
+        """Fresh builds of N = 1, 8, 16 and the N = 8 and 1 prefixes of the
+        N = 16 one, as cost_upper's back-off takes them."""
+        out = [make_basis(alpha, n) for n in (1, 8, 16)]
+        return out + [replace(out[-1], modes=out[-1].modes[:n]) for n in (8, 1)]
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.99])
-    def test_every_read_holds_the_mode_fields(self, alpha, monkeypatch):
-        for basis in self._bases(alpha, monkeypatch):
+    def test_every_read_holds_the_mode_fields(self, alpha):
+        for basis in self._bases(alpha):
             for name, fld in BASIS_ARRAYS:
                 expect = np.array([getattr(m, fld) for m in basis.modes])
                 for _ in range(2):
@@ -391,8 +381,8 @@ class TestBasisArrays:
                     assert got.tobytes() == expect.tobytes(), (alpha, basis.n_modes, name)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.99])
-    def test_a_write_into_a_read_stays_there(self, alpha, monkeypatch):
-        for basis in self._bases(alpha, monkeypatch):
+    def test_a_write_into_a_read_stays_there(self, alpha):
+        for basis in self._bases(alpha):
             fields = [(m.zero, m.eigenvalue, m.norm_const, m.neumann_trace)
                       for m in basis.modes]
             for name, _ in BASIS_ARRAYS:
@@ -440,13 +430,6 @@ def _source_row_oracle(basis, n):
     return mode.norm_const * float(np.dot(common, integrand))
 
 
-@pytest.fixture
-def no_kept_basis(monkeypatch):
-    """make_basis builds afresh: no basis, and so no table, is kept."""
-    monkeypatch.setattr(spectrum, "_last_basis", None)
-
-
-@pytest.mark.usefixtures("no_kept_basis")
 class TestBesselTable:
     def test_verify_evaluates_one_table(self, monkeypatch):
         from degctrl import build_biortho, verify
@@ -467,10 +450,9 @@ class TestBesselTable:
         assert calls == [(basis.nu, 8 * 3 * DEFAULT_PANELS * DEFAULT_NODES)]
         assert np.array_equal(project(basis, f).coefficients, first.coefficients)
         assert len(calls) == 1
-        make_basis(0.4139, 12)
-        sliced = make_basis(0.4139, 8)
-        again = project(sliced, f)
+        again = project(make_basis(0.4139, 8), f)   # a new basis evaluates its own
         assert np.array_equal(again.coefficients, first.coefficients)
+        assert len(calls) == 2
 
     def test_project_after_verify_evaluates_only_the_fine_rule(self, monkeypatch):
         from degctrl import build_biortho, verify
@@ -483,9 +465,10 @@ class TestBesselTable:
                          (basis.nu, 8 * 2 * DEFAULT_PANELS * DEFAULT_NODES)]
 
     def test_cli_chain_evaluates_two_tables(self, monkeypatch, tmp_path):
-        # verify, synthesize and simulate in one process share the kept
-        # basis: verify's 8-panel table, then only the 16-panel one
-        from degctrl.cli import main
+        # verify, synthesize and simulate in one process share the CLI
+        # chain's basis: verify's 8-panel table, then only the 16-panel one
+        from degctrl.cli import _chain, main
+        _chain.cache_clear()
         calls = _count_bessel_j_many(monkeypatch)
         for command in ("verify", "synthesize", "simulate"):
             argv = [command, "--alpha", "0.4143", "--modes", "8", "--horizon", "1",
@@ -530,9 +513,8 @@ class TestBesselTable:
     def test_unlocked_fill_gives_every_thread_the_same_bits(self):
         # racing threads may evaluate a table twice, never differently
         f = lambda x: x * (1.0 - x)
-        kept = make_basis(0.4145, 8)
-        reference = project(kept, f).coefficients
-        basis = spectrum._certified_basis(kept.alpha, kept.nu, kept.kappa, kept.modes)
+        reference = project(make_basis(0.4145, 8), f).coefficients
+        basis = make_basis(0.4145, 8)
         workers = min(os.cpu_count() or 1, 8) + 2
         barrier = threading.Barrier(workers)
         results = [None] * workers
@@ -557,7 +539,7 @@ class TestBesselTable:
 
     def test_store_is_left_out_of_comparison_and_repr(self):
         basis = make_basis(0.6, 5)
-        fresh = spectrum._certified_basis(basis.alpha, basis.nu, basis.kappa, basis.modes)
+        fresh = make_basis(0.6, 5)
         basis.tables(DEFAULT_PANELS)
         assert basis == fresh and repr(basis) == repr(fresh)
 
