@@ -86,6 +86,12 @@ def exponential_gram(lambdas_full: np.ndarray, T: float,
     return np.divide(1.0 - E, L, out=np.full_like(L, T), where=L != 0.0)
 
 
+def _affine_moments(a, b, T, lam, i1):
+    """int_0^T (a + b t) e^{lambda (t-T)} dt from i1 = int_0^T e^{lambda (t-T)} dt,
+    with int_0^T t e^{lambda (t-T)} dt = T/lambda - i1/lambda."""
+    return a * i1 + b * (T / lam - i1 / lam)
+
+
 def _solve_spd(G: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Equilibrated Cholesky solve with one extended-precision refinement
     step; ``AccuracyError`` if the Gram is not numerically positive definite."""
@@ -217,6 +223,25 @@ class BiorthogonalFamily:
             raise AccuracyError(f"computed ||sigma_{n}||^2 is negative: {a_nn}")
         return float(np.sqrt(a_nn))
 
+    def collapse(self, d: np.ndarray) -> np.ndarray:
+        """w of sum_n d_n sigma_n = sum_k w_k e^{lambda_k (t-T)}; a damping e^{-lambda_n T}
+        that underflows leaves sigma_n a share below 1e-308 in every w_k."""
+        with np.errstate(under="ignore"):
+            return self.coeffs_reflected @ (d * np.exp(-self.lambdas * self.T))
+
+    def closed_norms(self, weights: np.ndarray):
+        """(||g||_L2, ||G||_L2, (A, B)) for g = sum_k w_k e^{lambda_k (t-T)} and
+        G = A + B t + sum_{k>=1} (w_k / lambda_k) e^{lambda_k (t-T)}, G(0) = 0."""
+        G0, T, lam = self.gram, self.T, self.lambdas
+        ng2 = float(weights @ G0 @ weights)
+        q = weights[1:] / lam
+        a = -float(np.dot(q, np.exp(-lam * T)))
+        b = float(weights[0])
+        nG2 = a * a * T + a * b * T * T + b * b * T**3 / 3.0
+        nG2 += 2.0 * float(np.dot(q, _affine_moments(a, b, T, lam, G0[0, 1:])))
+        nG2 += float(q @ G0[1:, 1:] @ q)
+        return np.sqrt(max(ng2, 0.0)), np.sqrt(max(nG2, 0.0)), (a, b)
+
     def eval_sigma_reflected(self, n: int, s) -> np.ndarray | float:
         """tilde_sigma_n(s) = sum_k a[n][k] e^{-lambda_k s}."""
         scalar = np.isscalar(s)
@@ -272,14 +297,12 @@ def build_biortho(lambdas, T: float, tol: float = DEFAULT_TOL) -> BiorthogonalFa
     v = lam.tolist()   # float comparisons: a NaN fails each of them
     if not (v[0] > 0.0 and v[-1] < math.inf and all(map(float.__lt__, v, v[1:]))):
         raise DomainError("exponents must be finite, positive and strictly increasing")
-    horizon, tol_f = _require_real("horizon", T), _require_real("tol", tol)
+    horizon = _require_real("horizon", T)
     if not horizon > 0.0:
         raise DomainError(f"horizon must be positive, got {T}")
     if not horizon < math.inf:
         raise DomainError(f"horizon must be finite, got {T}")
-    if not 0.0 < tol_f < math.inf:
-        raise DomainError(f"tol must be finite and positive, got {tol}")
-    T, tol = horizon, tol_f
+    T, tol = horizon, _require_real("tol", tol, positive=True)
     n = len(lam)
     lams_full = np.concatenate((_ZERO, lam))
     G = exponential_gram(lams_full, T)

@@ -30,12 +30,12 @@ reachability score on the target before synthesizing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._fmt import write_csv, write_json
-from .biortho import BiorthogonalFamily, exponential_gram
+from .biortho import BiorthogonalFamily, _affine_moments, exponential_gram
 from .errors import (AccuracyError, DomainError, TargetStiffnessError, UsageError,
                      _require_int)
 from .quadrature import panel_rule
@@ -71,12 +71,29 @@ class ControlSignal:
     def eval_G(self, t) -> np.ndarray | float:
         scalar = np.isscalar(t)
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        vals = self.G_from_exponentials(t, np.exp(np.outer(t - self.T, self.lambdas_full)))
+        vals = self.G_from_exponentials(t, self.exponentials(t))
         return float(vals[0]) if scalar else vals
 
+    def exponentials(self, t: np.ndarray) -> np.ndarray:
+        """E[j, k] = e^{lambda_k (t_j - T)} over ``lambdas_full``, at most 1 on [0, T]."""
+        return np.exp(np.outer(t - self.T, self.lambdas_full))
+
     def G_from_exponentials(self, t: np.ndarray, E: np.ndarray) -> np.ndarray:
-        """G at t from E[j, k] = e^{lambda_k (t_j - T)} over ``lambdas_full``."""
-        return _accumulated(t, E, self.weights, self.lambdas_full, self.affine)
+        """G(t) = A + B t + sum_{k>=1} (w_k/lambda_k) E[:, k], E = ``exponentials(t)``."""
+        a, b = self.affine
+        return a + b * t + E[:, 1:] @ (self.weights[1:] / self.lambdas_full[1:])
+
+    def moments(self, lam: np.ndarray) -> np.ndarray:
+        """int_0^T G(t) e^{lambda (t-T)} dt, in closed form, for each of the
+        increasing positive exponents ``lam``."""
+        conv = exponential_gram(lam, self.T, self.lambdas_full)
+        q = self.weights[1:] / self.lambdas_full[1:]
+        tail = np.array([np.dot(q, row) for row in conv[:, 1:]])
+        return _affine_moments(*self.affine, self.T, lam, conv[:, 0]) + tail
+
+    def duhamel_sums(self, E: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """Duhamel sums S[j, n] = sum_k w_k E[j, k] / (lam_n + lambda_k) of ``simulate``."""
+        return E @ (self.weights[:, None] / (self.lambdas_full[:, None] + lam))
 
     @property
     def terminal_value(self) -> float:
@@ -98,19 +115,14 @@ class ControlSignal:
         write_json(path, self.to_json_dict())
 
     def save_csv(self, path, samples: int = 257) -> None:
-        """Sampled (t, g, G) table for plotting."""
+        """Sampled (t, g, G) table for plotting at a nonnegative int of ``samples``."""
         _require_int("samples", samples, positive=False)
+        if samples < 0:
+            raise DomainError(f"samples must be nonnegative, got {samples}")
         t = np.linspace(0.0, self.T, samples)
-        E = np.exp(np.outer(t - self.T, self.lambdas_full))
+        E = self.exponentials(t)
         write_csv(path, ("t", "g", "G"), np.column_stack(
             (t, E @ self.weights, self.G_from_exponentials(t, E))).tolist())
-
-
-def _accumulated(t, E, weights, lambdas_full, affine) -> np.ndarray:
-    """G(t) = A + B t + sum_{k>=1} (w_k / lambda_k) e^{lambda_k (t-T)} from
-    E[j, k] = e^{lambda_k (t_j - T)}."""
-    a, b = affine
-    return a + b * t + E[:, 1:] @ (weights[1:] / lambdas_full[1:])
 
 
 def _exp_growth_terms(muT: np.ndarray, lambdas: np.ndarray, T: float) -> np.ndarray:
@@ -128,26 +140,6 @@ def _exp_growth_terms(muT: np.ndarray, lambdas: np.ndarray, T: float) -> np.ndar
                 mode=i + 1)
         out[i] = np.sign(mu) * np.exp(lg)
     return out
-
-
-def _affine_moments(a, b, T, lam, i1):
-    """int_0^T (a + b t) e^{lambda (t-T)} dt from i1 = int_0^T e^{lambda (t-T)} dt,
-    with int_0^T t e^{lambda (t-T)} dt = T/lambda - i1/lambda."""
-    return a * i1 + b * (T / lam - i1 / lam)
-
-
-def _closed_norms(weights: np.ndarray, fam: BiorthogonalFamily):
-    """(||g||_L2, ||G||_L2, (A, B)) from exponential integrals on ``fam.gram``."""
-    G0, T = fam.gram, fam.T
-    ng2 = float(weights @ G0 @ weights)
-    lam = fam.lambdas_full[1:]
-    q = weights[1:] / lam
-    a = -float(np.dot(q, np.exp(-lam * T)))
-    b = float(weights[0])
-    nG2 = a * a * T + a * b * T * T + b * b * T**3 / 3.0
-    nG2 += 2.0 * float(np.dot(q, _affine_moments(a, b, T, lam, G0[0, 1:])))
-    nG2 += float(q @ G0[1:, 1:] @ q)
-    return np.sqrt(max(ng2, 0.0)), np.sqrt(max(nG2, 0.0)), (a, b)
 
 
 def synthesize(basis: SpectralBasis, fam: BiorthogonalFamily,
@@ -170,39 +162,31 @@ def synthesize(basis: SpectralBasis, fam: BiorthogonalFamily,
     if not (np.abs(lam - fam.lambdas) <= 1e-12 * np.abs(fam.lambdas)).all():
         raise UsageError("family exponents do not match basis eigenvalues")
 
-    r = basis.neumann_traces
-    T = fam.T
-    grown = _exp_growth_terms(muT.coefficients, lam, T)
-    d = lam / r * (mu0.coefficients - grown)
-    # collapse onto the exponential span; e^{-lambda_m T} may underflow,
-    # in which case mode m truly contributes < 1e-308 to every weight
-    with np.errstate(under="ignore"):
-        w = fam.coeffs_reflected @ (d * np.exp(-lam * T))
-
-    ng, nG, affine = _closed_norms(w, fam)
-    norms = {"g_l2": ng, "G_l2": nG,
-             "G_h1": float(np.sqrt(ng * ng + nG * nG))}
-    check = _norm_quadrature_check(w, fam.lambdas_full, affine, T, norms)
+    grown = _exp_growth_terms(muT.coefficients, lam, fam.T)
+    d = lam / basis.neumann_traces * (mu0.coefficients - grown)
+    w = fam.collapse(d)
+    ng, nG, affine = fam.closed_norms(w)
+    norms = {"g_l2": ng, "G_l2": nG, "G_h1": float(np.sqrt(ng * ng + nG * nG))}
+    signal = ControlSignal(T=fam.T, alpha=basis.alpha, d=d, lambdas_full=fam.lambdas_full,
+                           weights=w, affine=affine, norms=norms, norm_check_rel=np.nan)
+    check = _norm_quadrature_check(signal)
     if check > 1e-6:
         raise AccuracyError(
             f"closed-form norms disagree with quadrature by {check:.3e} "
             f"relative (> 1e-6)")
-    return ControlSignal(T=T, alpha=basis.alpha, d=d,
-                         lambdas_full=fam.lambdas_full, weights=w,
-                         affine=affine, norms=norms, norm_check_rel=check)
+    return replace(signal, norm_check_rel=check)
 
 
-def _norm_quadrature_check(weights, lambdas_full, affine, T, norms) -> float:
-    """Relative deviation of quadrature norms from the closed forms."""
+def _norm_quadrature_check(signal: ControlSignal) -> float:
+    """Relative deviation of the signal's quadrature norms from its closed forms."""
+    norms = signal.norms
     scale = max(norms["g_l2"], norms["G_l2"])
     if scale == 0.0:
         return 0.0
-    t, w = panel_rule(0.0, T, 8, 64)
-    E = np.exp(lambdas_full[None, :] * (t[:, None] - T))
-    g = E @ weights
-    G = _accumulated(t, E, weights, lambdas_full, affine)
-    ng = np.sqrt(np.dot(w, g**2))
-    nG = np.sqrt(np.dot(w, G**2))
+    t, w = panel_rule(0.0, signal.T, 8, 64)
+    E = signal.exponentials(t)
+    ng = np.sqrt(np.dot(w, (E @ signal.weights)**2))
+    nG = np.sqrt(np.dot(w, signal.G_from_exponentials(t, E)**2))
     return float(max(abs(ng - norms["g_l2"]), abs(nG - norms["G_l2"])) / scale)
 
 
@@ -217,30 +201,19 @@ def moment_residual(basis: SpectralBasis, signal: ControlSignal,
 
     i.e. the moment equation multiplied through by e^{-lambda_n T}: the
     scale on which a defect actually perturbs the terminal state. Modes
-    beyond N (moment entries taken as 0) quantify truncation leakage.
-    ``n_extra`` must be a nonnegative int (``UsageError`` otherwise).
+    beyond N (moment entries taken as 0) quantify truncation leakage. A
+    negative or non-int ``n_extra`` or unequal mode counts raise ``UsageError``.
     """
     _require_int("n_extra", n_extra, positive=False, error=UsageError)
     if n_extra < 0:
         raise UsageError("n_extra must be nonnegative")
-    n = signal.n_modes
-    ext = basis if n_extra == 0 else make_basis(basis.alpha, n + n_extra)
-    lam_ext = ext.eigenvalues
-    r_ext = ext.neumann_traces
-    mu0_ext = np.zeros(n + n_extra)
-    mu0_ext[:n] = mu0.coefficients
-    muT_ext = np.zeros(n + n_extra)
-    muT_ext[:n] = muT.coefficients
-
-    a, b = signal.affine
-    q = signal.weights[1:] / signal.lambdas_full[1:]
-    # row n: int_0^T e^{(lambda_n + lambda_k)(t-T)} dt over k = 0..N
-    conv = exponential_gram(lam_ext, signal.T, signal.lambdas_full)
-    out = np.empty(n + n_extra)
-    for i, ln in enumerate(lam_ext):
-        integral = _affine_moments(a, b, signal.T, ln, conv[i, 0]) + np.dot(q, conv[i, 1:])
-        out[i] = r_ext[i] * integral + mu0_ext[i] * np.exp(-ln * signal.T) - muT_ext[i]
-    return out
+    if not basis.n_modes == signal.n_modes == len(mu0) == len(muT):
+        raise UsageError("basis, control, mu0 and muT must share the mode count")
+    ext = basis if n_extra == 0 else make_basis(basis.alpha, signal.n_modes + n_extra)
+    lam = ext.eigenvalues
+    mu0_ext, muT_ext = (np.append(v.coefficients, np.zeros(n_extra)) for v in (mu0, muT))
+    return (ext.neumann_traces * signal.moments(lam) + mu0_ext * np.exp(-lam * signal.T)
+            - muT_ext)
 
 
 @dataclass(frozen=True)

@@ -129,8 +129,10 @@ def null_control(basis: SpectralBasis, fam: BiorthogonalFamily,
     Returns ``(signal, residuals, trajectory, checks)``. ``checks`` holds
     the four oracles as ``(name, value, limit)``, each passing when
     value <= limit: moment residuals (limit ``tol``), |G(T)|, terminal
-    residual and closed-form vs integrator deviation.
+    residual and closed-form vs integrator deviation. ``tol`` must be a
+    finite positive real (``DomainError`` otherwise).
     """
+    tol = _require_real("tol", tol, positive=True)
     signal, res, checks = _synthesis_step(basis, fam, mu0, tol)
     traj = evolve(basis, mu0, signal, grid_size=grid_size)
     checks += (
@@ -160,7 +162,8 @@ def verify(basis: SpectralBasis, fam: BiorthogonalFamily, mu0: MomentVector,
     """Invariant battery over every stage of the pipeline: one
     ``{name, passed, metric}`` entry per check, in ``verify.json`` order.
     ``seed`` draws the min-norm perturbations; mu0 is steered to rest
-    for the four ``null_control`` oracles."""
+    for the four ``null_control`` oracles, with ``tol`` checked as there."""
+    tol = _require_real("tol", tol, positive=True)
     _require_int("seed", seed, positive=False, error=UsageError)
     if seed < 0:
         raise UsageError(f"seed must be nonnegative, got {seed}")
@@ -259,9 +262,9 @@ def cost_upper(alpha: float, u0: MomentVector, T: float, n_modes: int,
     four oracles; any failure backs off to N - 1 (u0 coefficients
     truncated accordingly), down to 4. The count used is reported. When no
     count passes, one ``AccuracyError`` lists every N tried with its
-    reason.
+    reason. ``tol`` must be a finite positive real (``DomainError`` otherwise).
     """
-    return _upper(alpha, u0, T, n_modes, tol)
+    return _upper(alpha, u0, T, n_modes, _require_real("tol", tol, positive=True))
 
 
 def _upper(alpha, u0, T, n_modes, tol, basis=None) -> CostUpper:
@@ -315,9 +318,7 @@ def _lower(alpha, u0, T, limit_coeffs, basis=None) -> float:
     """``cost_lower``, on ``basis`` when one with a mode per coefficient is given."""
     if not 0.0 <= alpha < 1.0:
         raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
-    horizon = _require_real("horizon", T)
-    if not 0.0 < horizon < np.inf:
-        raise DomainError(f"horizon must be finite and positive, got {T}")
+    horizon = _require_real("horizon", T, positive=True)
     _check_state(u0, alpha)
     basis = make_basis(alpha, len(u0)) if basis is None else basis
     lam = basis.eigenvalues
@@ -408,8 +409,9 @@ def cost_sweep(alphas, u0, T: float, n_modes: int,
     ``u0`` may be anything ``resolve_u0`` accepts; it is projected afresh
     at each alpha and scaled to unit l2 norm there, so points measure cost
     per unit of initial data. Per-alpha failures are recorded and the
-    sweep continues.
+    sweep continues. ``tol`` is taken as ``cost_upper`` takes it.
     """
+    tol = _require_real("tol", tol, positive=True)
     _require_int("n_modes", n_modes, positive=False)
     parsed = _parse_u0(u0, n_modes)
     n, f, _ = parsed

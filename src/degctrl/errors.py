@@ -58,10 +58,14 @@ def _require_int(name: str, value, positive: bool = True, error=DomainError) -> 
         raise error(f"{name} must be {'a positive' if positive else 'an'} int, got {value!r}")
 
 
-def _require_real(name: str, value) -> float:
+def _require_real(name: str, value, positive: bool = False) -> float:
     """``float(value)``; ``DomainError`` naming ``name`` when that fails (a
-    type without a float, or an int or Fraction beyond double range)."""
+    type without a float, or an int or Fraction beyond double range) or,
+    when ``positive``, unless the float is finite and positive."""
     try:
-        return float(value)
+        real = float(value)
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{name} must be a real number, got {value!r}") from None
+    if positive and not 0.0 < real < np.inf:
+        raise DomainError(f"{name} must be finite and positive, got {value}")
+    return real

@@ -92,10 +92,9 @@ class Trajectory:
 
 def _closed_form_modes(basis, signal, mu0, t, E):
     """v_n(t) on the grid from analytic Duhamel convolutions, factored
-    through S[j, n] as in the module docstring; E[j, k] = e^{lambda_k (t_j - T)}."""
+    through ``signal.duhamel_sums``; E = ``signal.exponentials(t)``."""
     lam = basis.eigenvalues
-    lam_k = signal.lambdas_full
-    S = E @ (signal.weights[:, None] / (lam_k[:, None] + lam))
+    S = signal.duhamel_sums(E, lam)
     D = np.exp(np.outer(-lam, t))
     conv = S.T - D * S[0][:, None]
     return D * mu0[:, None] - (basis.neumann_traces / lam)[:, None] * conv
@@ -151,7 +150,7 @@ def evolve(basis: SpectralBasis, u0: MomentVector, signal: ControlSignal,
         raise DomainError("need at least 2 grid intervals")
     t = np.linspace(0.0, signal.T, grid_size + 1)
     mu0 = u0.coefficients
-    E = np.exp(np.outer(t - signal.T, signal.lambdas_full))
+    E = signal.exponentials(t)
     v = _closed_form_modes(basis, signal, mu0, t, E)
     v_hat = _integrator_modes(basis, signal, mu0, t, E)
     deviation = float(np.max(np.abs(v - v_hat)))

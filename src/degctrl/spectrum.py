@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bessel
-from .errors import DomainError, QuadratureError, UsageError, _require_int
+from .errors import DomainError, QuadratureError, UsageError, _require_int, _require_real
 from .quadrature import panel_rule
 
 GAP_FIRST = 3.0 * np.pi / 8.0
@@ -284,8 +284,7 @@ def project(basis: SpectralBasis, f, panels: int = DEFAULT_PANELS,
     must be finite and positive (``DomainError`` otherwise): no estimate
     exceeds a NaN or infinite one, which would switch the check off.
     """
-    if not 0.0 < tol < np.inf:
-        raise DomainError(f"tol must be finite and positive, got {tol}")
+    tol = _require_real("tol", tol, positive=True)
     coarse, fine = (basis.norm_consts * (rule.table @ (np.asarray(f(rule.x), dtype=float)
                                                        * rule.common))
                     for rule in basis.tables(panels, 2 * panels))

@@ -143,3 +143,8 @@ class TestIntegerArguments:
         for bad in (float(k), k + 0.5, True, np.True_):
             with pytest.raises(error, match="int, got"):
                 call(chain, bad)
+
+    def test_negative_save_csv_samples(self):
+        # numpy's linspace would raise its own ValueError
+        with pytest.raises(DomainError, match="samples must be nonnegative, got -1$"):
+            _chain()[3].save_csv(os.devnull, samples=-1)

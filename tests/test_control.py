@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -6,8 +7,10 @@ import pytest
 
 from degctrl.biortho import build_biortho, eval_sigma
 from degctrl.control import (moment_residual, reachability_score, synthesize)
+from degctrl.cost import resolve_u0
 from degctrl.errors import DomainError, TargetStiffnessError, UsageError
 from degctrl.quadrature import panel_rule
+from degctrl.simulate import evolve
 from degctrl.spectrum import MomentVector, make_basis, project, unit_moment
 
 from conftest import eval_g
@@ -157,6 +160,26 @@ class TestMomentResidual:
         res = moment_residual(basis, sig, unit_moment(basis, 1), zero)
         assert res[0] == pytest.approx(math.exp(-math.pi**2), rel=1e-12)
 
+    def test_moments_match_quadrature(self, laplace_setup):
+        # three exponents beyond the family's; 64 panels keep lambda h near 12
+        basis, fam = laplace_setup
+        sig = synthesize(basis, fam, project(basis, lambda x: x * (1.0 - x)),
+                         zero_target(basis))
+        lam = make_basis(0.0, 9).eigenvalues
+        t, w = panel_rule(0.0, 1.0, 64, 32)
+        quad = [np.dot(w, sig.eval_G(t) * np.exp(lk * (t - 1.0))) for lk in lam]
+        assert np.allclose(sig.moments(lam), quad, rtol=1e-12, atol=1e-16)
+
+    def test_mode_count_mismatch(self, laplace_setup):
+        basis, fam = laplace_setup
+        zero = zero_target(basis)
+        sig = synthesize(basis, fam, unit_moment(basis, 1), zero)
+        wide = make_basis(0.0, 8)
+        for args in ((wide, sig, unit_moment(wide, 1), zero_target(wide)),
+                     (basis, sig, unit_moment(wide, 1), zero)):
+            with pytest.raises(UsageError, match="share the mode count"):
+                moment_residual(*args)
+
     def test_negative_extra_modes(self, laplace_setup):
         basis, fam = laplace_setup
         zero = zero_target(basis)
@@ -294,3 +317,41 @@ class TestExports:
         last = lines[-1].split(",")
         assert float(last[0]) == 1.0
         assert abs(float(last[2])) < 1e-8
+
+
+#: (alpha, N, T, u0) of the pinned control chain, each steered to rest
+CHAIN_GRID = [(alpha, n, T, u0) for alpha in (0.0, 0.5, 0.9) for n in (6, 11)
+              for T in (0.5, 1.0) for u0 in ("mode:1", "poly:x(1-x)")]
+#: sha256 of chain_bits over CHAIN_GRID, then the run to mode 2 at alpha 0.5,
+#: N = 6, T = 1
+CHAIN_SHA256 = "767e7e8a77d7d197ce00c68897ad4ba2d9492aa352b8ee2eab3a3ea9faf09e38"
+
+
+def chain_bits(alpha, n, T, u0, target=None) -> bytes:
+    """The bits of synthesize, moment_residual and evolve on one run."""
+    basis = make_basis(alpha, n)
+    fam = build_biortho(basis.eigenvalues, T)
+    mu0 = resolve_u0(u0, basis)
+    muT = zero_target(basis) if target is None else unit_moment(basis, target)
+    sig = synthesize(basis, fam, mu0, muT)
+    traj = evolve(basis, mu0, sig)
+    scalars = [*(sig.norms[k] for k in ("g_l2", "G_l2", "G_h1")), sig.norm_check_rel,
+               *sig.affine, traj.oracle_deviation]
+    parts = (sig.weights, np.array(scalars), moment_residual(basis, sig, mu0, muT),
+             moment_residual(basis, sig, mu0, muT, n_extra=5), traj.v, traj.G_trace,
+             traj.u_coeffs)
+    return b"".join(np.ascontiguousarray(p, dtype=float).tobytes() for p in parts)
+
+
+class TestPinnedBits:
+    """The control chain recorded bit for bit; a change that moves one bit
+    fails here. It catches, for one, a single rounding moved inside
+    ``biortho._affine_moments``: ``b * (T - i1) / lam`` in place of
+    ``b * (T / lam - i1 / lam)``."""
+
+    def test_chain_digest(self):
+        digest = hashlib.sha256()
+        for case in CHAIN_GRID:
+            digest.update(chain_bits(*case))
+        digest.update(chain_bits(0.5, 6, 1.0, "mode:1", target=2))
+        assert digest.hexdigest() == CHAIN_SHA256

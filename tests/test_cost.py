@@ -9,7 +9,7 @@ import pytest
 from degctrl import bessel
 from degctrl.biortho import build_biortho, eval_sigma
 from degctrl.cost import (BOUNDARY_TOL, ORACLE_TOL, TERMINAL_TOL, cost_lower,
-                          cost_sweep, cost_upper, resolve_u0)
+                          cost_sweep, cost_upper, null_control, resolve_u0, verify)
 from degctrl.errors import AccuracyError, DomainError, UsageError
 from degctrl.quadrature import panel_rule
 from degctrl.spectrum import (MomentVector, make_basis, make_limit_basis,
@@ -265,6 +265,43 @@ class TestRealHorizon:
             cost_lower(0.5, mu0, 0)
         with pytest.raises(DomainError, match="must be positive, got -1/2$"):
             cost_upper(0.5, mu0, Fraction(-1, 2), 4)
+
+
+class TestRealTol:
+    """tol goes through float at entry, as the horizon does: a string or a
+    Fraction gives the float's result, and a tol that is not a finite
+    positive real is a DomainError before any basis is built."""
+
+    def test_string_and_fraction_tols(self):
+        basis = make_basis(0.0, 8)
+        mu0 = unit_moment(basis, 1)
+        # T = 0.02 backs off past oracle failures, whose trail formats tol
+        ref = cost_upper(0.0, mu0, 0.02, 8)
+        for tol in ("1e-6", Fraction(1, 10**6)):
+            up = cost_upper(0.0, mu0, 0.02, 8, tol=tol)
+            assert (up.value, up.n_used, up.diagnostics) == (ref.value, ref.n_used,
+                                                             ref.diagnostics)
+        assert cost_sweep([0.5], "mode:1", 1.0, 8, tol="1e-6") == cost_sweep(
+            [0.5], "mode:1", 1.0, 8)
+        fam = build_biortho(basis.eigenvalues, 1.0)
+        assert verify(basis, fam, mu0, "1e-6") == verify(basis, fam, mu0, 1e-6)
+        *_, checks = null_control(basis, fam, mu0, "1e-6")
+        assert checks[0] == ("moment_residuals", checks[0][1], 1e-6)
+        assert type(checks[0][2]) is float
+
+    def test_bad_tol_before_any_basis(self, monkeypatch):
+        basis = make_basis(0.5, 6)
+        fam = build_biortho(basis.eigenvalues, 1.0)
+        mu0 = unit_moment(basis, 1)
+        calls = TestOneBasisPerCall.count_zeros(monkeypatch)
+        for tol in (0.0, -1e-6, math.nan, math.inf, "x", None, 10**400):
+            for call in (lambda: cost_upper(0.5, mu0, 1.0, 6, tol=tol),
+                         lambda: cost_sweep([0.5], "mode:1", 1.0, 6, tol=tol),
+                         lambda: null_control(basis, fam, mu0, tol),
+                         lambda: verify(basis, fam, mu0, tol)):
+                with pytest.raises(DomainError, match="^tol must be"):
+                    call()
+        assert calls == []
 
 
 class TestDiagnostics:

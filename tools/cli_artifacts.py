@@ -63,6 +63,10 @@ CONFIGS = {
                             "--u0", "poly:x(1-x)"],
     "synthesize_a05_target": ["synthesize", "--alpha", "0.5", "--modes", "6",
                               "--u0", "mode:1", "--target", "mode:2"],
+    # N = 12 at T = 1: e^{-lambda_12 T} underflows to 0 in the collapse of
+    # the mode coefficients onto the exponentials
+    "synthesize_a0_n12_target": ["synthesize", "--alpha", "0", "--modes", "12",
+                                 "--u0", "mode:1", "--target", "mode:2"],
     "simulate_a08_mode1": ["simulate", "--alpha", "0.8", "--modes", "8",
                            "--u0", "mode:1"],
     "simulate_a05_csv_grid64": ["simulate", "--alpha", "0.5", "--modes", "6",
