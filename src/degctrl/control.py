@@ -37,9 +37,9 @@ import numpy as np
 from ._fmt import write_csv, write_json
 from .biortho import BiorthogonalFamily, _affine_moments, exponential_gram
 from .errors import (AccuracyError, DomainError, TargetStiffnessError, UsageError,
-                     _require_int)
+                     _require_int, _require_real)
 from .quadrature import panel_rule
-from .spectrum import MomentVector, SpectralBasis, _exponents, make_basis
+from .spectrum import MomentVector, SpectralBasis, _exponents, _require_alpha, make_basis
 
 _OVERFLOW_LOG = np.log(1e300)
 _MAX_LOG = np.log(np.finfo(float).max)
@@ -235,16 +235,16 @@ class ReachabilityScore:
 
 def reachability_score(muT: MomentVector, alpha: float, K: float) -> ReachabilityScore:
     """Score the target-decay condition with a finite growth constant K > 0
-    at an alpha in [0, 1) (``DomainError`` otherwise).
+    (``UsageError`` otherwise) at an alpha in [0, 1) (``DomainError``
+    otherwise), each taken through ``float`` (``DomainError`` without one).
 
     ``TargetStiffnessError`` names the first mode whose term or partial
     sum lies beyond double range.
     """
+    K = _require_real("K", K)
     if not 0.0 < K < np.inf:
         raise UsageError(f"K must be finite and positive, got {K}")
-    if not 0.0 <= alpha < 1.0:
-        raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
-    _, kappa = _exponents(alpha)
+    _, kappa = _exponents(_require_alpha(alpha))
     mu = np.abs(muT.coefficients)
     m = np.arange(1, len(mu) + 1, dtype=float)
     growth = K * kappa * np.pi * m

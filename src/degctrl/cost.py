@@ -5,8 +5,10 @@ Upper estimates: the full pipeline (spectral basis -> biorthogonal family
 replay, exact evolution) is run and ||G||_H1 reported, but only after the
 run's own oracles pass: moment residuals below tolerance, |G(T)| < 1e-8,
 controlled-mode terminal residuals < 1e-5 and closed-form vs integrator
-deviation < 1e-6. This bounds the true cost from
-above; the moment-method control is not claimed optimal.
+deviation < 1e-6. This bounds from above the cost of bringing modes 1..N
+to rest. The control also drives the modes above N, which no oracle
+reads, so it is not yet a bound on the cost of the full null control;
+nor is the moment-method control claimed optimal.
 
 Certified lower bounds: from the moment identity
 r_n int_0^T G e^{lambda_n t} dt = -mu0_n, Cauchy-Schwarz gives, for EVERY
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,13 +48,12 @@ from ._fmt import write_csv
 from .biortho import (BiorthogonalFamily, build_biortho, eval_sigma,
                       exponential_gram)
 from .control import moment_residual, synthesize
-from .errors import (AccuracyError, DomainError, UsageError, _require_int,
-                     _require_real)
+from .errors import AccuracyError, UsageError, _require_int, _require_real
 from .quadrature import panel_rule
 from .simulate import evolve
-from .spectrum import (_GAP_SLACK, MomentVector, SpectralBasis, gram_matrix,
-                       make_basis, make_limit_basis, neumann_trace_numeric,
-                       project, source_coefficient,
+from .spectrum import (_GAP_SLACK, MomentVector, SpectralBasis, _require_alpha,
+                       gram_matrix, make_basis, make_limit_basis,
+                       neumann_trace_numeric, project, source_coefficient,
                        source_coefficient_quadrature, unit_moment)
 
 _MIN_RETRY_N = 4
@@ -86,12 +88,17 @@ def _parse_u0(u0, n_modes: int):
         return None, lambda x: x * (1.0 - x), {}
     if kind == "csv":
         try:
-            data = np.loadtxt(arg, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():   # an empty file is named below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(arg, delimiter=",", ndmin=2)
         except ValueError as err:
             raise UsageError(f"cannot read csv profile {arg}: {err}") from None
         if data.shape[0] < 1 or data.shape[1] < 2:
             raise UsageError(f"csv profile {arg} needs rows of x,value")
         xs, vals = data[:, 0], data[:, 1]
+        # np.interp needs increasing x and raises nothing for another order
+        if not np.all(np.diff(xs) > 0.0):
+            raise UsageError(f"csv profile {arg} needs strictly increasing x")
         # sampled data is piecewise linear; its kinks dominate the
         # quadrature error long before the interpolation error matters,
         # so the projection tolerance follows the data resolution
@@ -140,6 +147,13 @@ def null_control(basis: SpectralBasis, fam: BiorthogonalFamily,
         ("propagation_oracle", traj.oracle_deviation, ORACLE_TOL),
     )
     return signal, res, traj, checks
+
+
+def _failures(checks) -> list[str]:
+    """``"{name} {value:.2e} > {limit:.0e}"`` for each ``(name, value, limit)``
+    check but those with value <= limit (so NaN fails): a run passes if none."""
+    return [f"{name} {value:.2e} > {limit:.0e}"
+            for name, value, limit in checks if not value <= limit]
 
 
 def _synthesis_step(basis: SpectralBasis, fam: BiorthogonalFamily,
@@ -269,8 +283,7 @@ def cost_upper(alpha: float, u0: MomentVector, T: float, n_modes: int,
 
 def _upper(alpha, u0, T, n_modes, tol, basis=None) -> CostUpper:
     """``cost_upper`` on ``basis``, built here when None; the back-off takes its prefixes."""
-    if not 0.0 <= alpha < 1.0:
-        raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
+    alpha = _require_alpha(alpha)
     _check_state(u0, alpha)
     _require_int("n_modes", n_modes, positive=False)
     if n_modes < _MIN_RETRY_N:
@@ -290,9 +303,7 @@ def _upper(alpha, u0, T, n_modes, tol, basis=None) -> CostUpper:
         except AccuracyError as err:
             trail.append(f"N={n}: {err}")
             continue
-        failures = [f"{name} {value:.2e} > {limit:.0e}"
-                    for name, value, limit in checks if not value <= limit]
-        if failures:
+        if failures := _failures(checks):
             trail.append(f"N={n}: null-control oracles failed: " + "; ".join(failures))
             continue
         diag = {name: value for name, value, _ in checks}
@@ -316,8 +327,7 @@ def cost_lower(alpha: float, u0: MomentVector, T: float,
 
 def _lower(alpha, u0, T, limit_coeffs, basis=None) -> float:
     """``cost_lower``, on ``basis`` when one with a mode per coefficient is given."""
-    if not 0.0 <= alpha < 1.0:
-        raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
+    alpha = _require_alpha(alpha)
     horizon = _require_real("horizon", T, positive=True)
     _check_state(u0, alpha)
     basis = make_basis(alpha, len(u0)) if basis is None else basis
@@ -411,6 +421,7 @@ def cost_sweep(alphas, u0, T: float, n_modes: int,
     per unit of initial data. Per-alpha failures are recorded and the
     sweep continues. ``tol`` is taken as ``cost_upper`` takes it.
     """
+    alphas = [_require_alpha(alpha) for alpha in alphas]
     tol = _require_real("tol", tol, positive=True)
     _require_int("n_modes", n_modes, positive=False)
     parsed = _parse_u0(u0, n_modes)
@@ -419,7 +430,6 @@ def cost_sweep(alphas, u0, T: float, n_modes: int,
                     else make_limit_basis(n_modes).project(f))
     points = []
     for alpha in alphas:
-        alpha = float(alpha)
         basis = make_basis(alpha, n_modes)
         mu0 = _moments(parsed, basis)
         nrm = float(np.linalg.norm(mu0.coefficients))

@@ -217,15 +217,22 @@ def _exponents(alpha: float) -> tuple[float, float]:
     return (1.0 - alpha) / (2.0 - alpha), (2.0 - alpha) / 2.0
 
 
+def _require_alpha(alpha) -> float:
+    """Alpha as a float in [0, 1), the domain of every basis; ``DomainError``
+    otherwise, also for a value without a float (see ``_require_real``)."""
+    alpha = _require_real("alpha", alpha)
+    if not 0.0 <= alpha < 1.0:
+        raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
+    return alpha
+
+
 def make_basis(alpha: float, n_modes: int) -> SpectralBasis:
     """Build the first ``n_modes`` eigenmodes for a given alpha in [0, 1).
 
     Every call builds its own basis. A mode does not depend on the basis
     size: the first n modes of a larger basis equal a build of n.
     """
-    alpha = float(alpha)
-    if not 0.0 <= alpha < 1.0:
-        raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
+    alpha = _require_alpha(alpha)
     _require_int("n_modes", n_modes)
     nu, kappa = _exponents(alpha)
     trace_pref = _trace_prefactor(alpha, nu, kappa)

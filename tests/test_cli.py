@@ -7,10 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
-from degctrl import biortho, build_biortho, cli, make_basis, resolve_u0, verify
+from degctrl import biortho, build_biortho, cli, cost, make_basis, resolve_u0, verify
 from degctrl._fmt import write_csv
 from degctrl.cli import main
-from degctrl.cost import null_control
+from degctrl.cost import cost_upper, null_control
+from degctrl.errors import AccuracyError
+from degctrl.spectrum import unit_moment
 
 from conftest import eval_g
 
@@ -231,7 +233,7 @@ class TestCostSweepCommand:
 
     @pytest.mark.parametrize("flags,message", [
         ([], "--alphas (or --alpha) is required"),
-        (["--alphas", "0.5,1.0"], "all sweep alphas must lie in [0, 1)")],
+        (["--alphas", "0.5,1.0"], "alpha must lie in [0, 1), got 1.0")],
         ids=["no_alpha", "alpha_one"])
     def test_alpha_flags_are_checked(self, flags, message, tmp_path, capsys):
         assert run_cli(["cost-sweep", *flags, "--u0", "mode:1",
@@ -289,6 +291,53 @@ class TestExitCodes:
                         "--horizon", "1", "--u0", f"csv:{path}",
                         "--out-dir", str(tmp_path)])
         assert code == 0
+
+
+    def test_u0_csv_profile_with_decreasing_x(self, tmp_path, capsys):
+        # the samples x(1-x) listed from x = 1 down to 0 once gave
+        # ||G||_H1 = 0 and PASS: np.interp projected them to zero
+        xs = np.linspace(1.0, 0.0, 41)
+        path = tmp_path / "reversed.csv"
+        np.savetxt(path, np.column_stack([xs, xs * (1.0 - xs)]), delimiter=",")
+        assert run_cli(["synthesize", "--alpha", "0.5", "--modes", "6",
+                        "--u0", f"csv:{path}", "--out-dir", str(tmp_path)]) == 2
+        assert "needs strictly increasing x" in capsys.readouterr().err
+
+
+class TestOneRuleGatesEveryConsumer:
+    """A check appended to ``_synthesis_step``'s list gates synthesize,
+    simulate, verify and the cost_upper back-off with no edit to any of them."""
+
+    @pytest.fixture
+    def synthetic(self, monkeypatch):
+        step = cost._synthesis_step
+
+        def failing(*args, **kwargs):
+            signal, res, checks = step(*args, **kwargs)
+            return signal, res, (*checks, ("synthetic", 1.0, 0.0))
+
+        # null_control looks the name up in cost, synthesize in cli
+        monkeypatch.setattr(cost, "_synthesis_step", failing)
+        monkeypatch.setattr(cli, "_synthesis_step", failing)
+
+    @pytest.mark.parametrize("command", ["synthesize", "simulate"])
+    def test_command_fails(self, synthetic, command, tmp_path, capsys):
+        assert run_cli([command, "--alpha", "0.5", "--modes", "6", "--u0", "mode:1",
+                        "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().out.endswith(" | FAIL\n")
+
+    def test_verify_records_it_failed(self, synthetic, tmp_path, capsys):
+        assert run_cli(["verify", "--alpha", "0.5", "--modes", "6",
+                        "--out-dir", str(tmp_path)]) == 1
+        record = json.loads((tmp_path / "verify.json").read_text())
+        assert {c["name"]: c["passed"] for c in record["checks"]}["synthetic"] is False
+
+    def test_cost_upper_trail_names_it_for_every_n(self, synthetic):
+        with pytest.raises(AccuracyError) as err:
+            cost_upper(0.5, unit_moment(make_basis(0.5, 6), 1), 1.0, 6)
+        for n in (4, 5, 6):
+            assert (f"N={n}: null-control oracles failed: synthetic 1.00e+00 > 0e+00"
+                    in str(err.value))
 
 
 class TestInstalledEntryPoint:

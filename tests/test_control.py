@@ -230,6 +230,13 @@ class TestReachability:
             reachability_score(unit_moment(basis, 2), 0.0, K=K)
 
 
+    def test_k_goes_through_float(self):
+        mu = unit_moment(make_basis(0.5, 6), 2)
+        assert (reachability_score(mu, 0.5, K="1").partial_sums.tolist()
+                == reachability_score(mu, 0.5, K=1.0).partial_sums.tolist())
+        with pytest.raises(DomainError, match="K must be a real number, got 'x'"):
+            reachability_score(mu, 0.5, K="x")
+
     @pytest.mark.parametrize("alpha", [2.0, math.nan, 1.0, -0.5])
     def test_requires_alpha_in_domain(self, alpha):
         # alpha 2 divided by zero in the exponents; NaN scored [0, nan, nan] as a pass

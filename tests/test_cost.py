@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -6,8 +7,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from degctrl import bessel
+from degctrl import bessel, cost
 from degctrl.biortho import build_biortho, eval_sigma
+from degctrl.control import reachability_score
 from degctrl.cost import (BOUNDARY_TOL, ORACLE_TOL, TERMINAL_TOL, cost_lower,
                           cost_sweep, cost_upper, null_control, resolve_u0, verify)
 from degctrl.errors import AccuracyError, DomainError, UsageError
@@ -334,12 +336,69 @@ class TestResolveU0:
         direct = project(basis, lambda x: x * (1.0 - x))
         assert np.max(np.abs(mu.coefficients - direct.coefficients)) < 1e-3
 
+    @pytest.mark.parametrize("xs", [np.linspace(1.0, 0.0, 41), [0.0, 0.5, 0.5, 1.0]],
+                             ids=["decreasing", "repeated"])
+    def test_csv_x_must_increase(self, xs, tmp_path):
+        # np.interp on x listed from 1 down to 0 projected x(1-x) to zero
+        xs = np.asarray(xs)
+        path = tmp_path / "u0.csv"
+        np.savetxt(path, np.column_stack([xs, xs * (1.0 - xs)]), delimiter=",")
+        with pytest.raises(UsageError, match=re.escape(
+                f"csv profile {path} needs strictly increasing x")):
+            resolve_u0(f"csv:{path}", make_basis(0.5, 6))
+
+    def test_empty_csv_is_named_without_a_warning(self, tmp_path):
+        path = tmp_path / "u0.csv"
+        path.write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UsageError, match="needs rows of x,value"):
+                resolve_u0(f"csv:{path}", make_basis(0.5, 6))
+
     def test_unknown_descriptor(self):
         basis = make_basis(0.5, 3)
         with pytest.raises(UsageError):
             resolve_u0("fourier:1", basis)
         with pytest.raises(UsageError):
             resolve_u0("poly:x^2", basis)
+
+
+class TestRealAlpha:
+    """Every entry point takes alpha through ``spectrum._require_alpha``: a
+    string of a number gives the float's result, a value without a float
+    is a DomainError."""
+
+    NAMES = ("make_basis", "cost_upper", "cost_lower", "cost_sweep",
+             "reachability_score")
+
+    @staticmethod
+    def call(name, alpha):
+        mu0 = unit_moment(make_basis(0.5, 6), 1)
+        return {
+            "make_basis": lambda: make_basis(alpha, 6),
+            "cost_upper": lambda: cost_upper(alpha, mu0, 1.0, 6).value,
+            "cost_lower": lambda: cost_lower(alpha, mu0, 1.0),
+            "cost_sweep": lambda: cost_sweep([alpha], "mode:1", 1.0, 6).to_rows(),
+            "reachability_score":
+                lambda: reachability_score(mu0, alpha, 1.0).partial_sums.tolist(),
+        }[name]()
+
+    @pytest.mark.parametrize("alpha", ["x", None])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_non_real_alpha_is_a_domain_error(self, name, alpha):
+        with pytest.raises(DomainError, match="alpha must be a real number"):
+            self.call(name, alpha)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_string_alpha_gives_the_floats_result(self, name):
+        assert self.call(name, "0.5") == self.call(name, 0.5)
+
+    def test_sweep_checks_its_grid_before_any_basis(self, monkeypatch):
+        built, build = [], cost.make_basis
+        monkeypatch.setattr(cost, "make_basis", lambda *a: built.append(a) or build(*a))
+        with pytest.raises(DomainError, match=r"alpha must lie in \[0, 1\), got 1.0"):
+            cost_sweep([0.5, 0.9, 1.0], "mode:1", 1.0, 12)
+        assert built == []
 
 
 class TestStateAlphaMismatch:

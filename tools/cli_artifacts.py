@@ -67,6 +67,14 @@ CONFIGS = {
     # the mode coefficients onto the exponentials
     "synthesize_a0_n12_target": ["synthesize", "--alpha", "0", "--modes", "12",
                                  "--u0", "mode:1", "--target", "mode:2"],
+    # the reachability score fails at the fitted K = 0.3558: synthesize
+    # refuses before it writes an artifact
+    "synthesize_a05_target_refused": ["synthesize", "--alpha", "0.5", "--modes", "6",
+                                      "--u0", "mode:1", "--target", "poly:x(1-x)"],
+    # passes on modes 1..8 while its terminal state misses the target by
+    # 2.99e-2 in L2 on modes 9..198
+    "synthesize_a05_n8_target": ["synthesize", "--alpha", "0.5", "--modes", "8",
+                                 "--u0", "mode:1", "--target", "mode:2"],
     "simulate_a08_mode1": ["simulate", "--alpha", "0.8", "--modes", "8",
                            "--u0", "mode:1"],
     "simulate_a05_csv_grid64": ["simulate", "--alpha", "0.5", "--modes", "6",
@@ -78,6 +86,10 @@ CONFIGS = {
     "simulate_a0_n10_t2_grid2": ["simulate", "--alpha", "0", "--modes", "10",
                                  "--horizon", "2", "--grid", "2",
                                  "--u0", "poly:x(1-x)"],
+    # T = 0.02: |G(T)| = 1.91e-6 fails its 1e-8 limit while the terminal
+    # state and the propagation oracle pass
+    "simulate_a0_n5_t002": ["simulate", "--alpha", "0", "--modes", "5",
+                            "--horizon", "0.02", "--u0", "mode:1"],
     # a 4097-row trajectory.csv: the CSV writer's bulk path
     "simulate_a03_grid4096": ["simulate", "--alpha", "0.3", "--modes", "8",
                               "--u0", "poly:x(1-x)", "--grid", "4096"],
