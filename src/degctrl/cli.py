@@ -6,9 +6,9 @@ Artifacts are deterministic: identical configuration (including --seed)
 produces byte-identical JSON/CSV. The spectrum, biortho, cost_sweep and
 verify artifacts and trajectory.json embed the resolved configuration;
 control.json, control_samples.csv and trajectory.csv do not. Exit status:
-0 only if every oracle on the invoked path passed (for synthesize and
-simulate, every check the library returns); 1 on numerical failure; 2 on
-usage errors.
+0 only if every oracle on the invoked path passed (for synthesize,
+simulate and biortho every check the library returns, for cost-sweep the
+report's verdict); 1 on numerical failure; 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -19,12 +19,10 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from ._fmt import write_csv, write_json
 from .biortho import bound_profile, build_biortho
 from .control import reachability_score
-from .cost import (ZERO_MEAN_TOL, _failures, _synthesis_step, cost_sweep,
+from .cost import (_failures, _family_checks, _synthesis_step, cost_sweep,
                    null_control, resolve_u0, verify)
 from .errors import AccuracyError, DegctrlError, DomainError, UsageError
 from .spectrum import make_basis, make_limit_basis
@@ -185,11 +183,10 @@ def _cmd_biortho(cfg) -> int:
         payload["bound_profile"] = {"K": prof.K, "log_B": prof.log_B,
                                     "fit_rel_rms": prof.fit_rel_rms}
     _write_json(cfg, "biortho.json", payload)
-    # build_biortho raises unless residual_max <= tol
-    ok = np.max(np.abs(fam.zero_mean_values)) <= ZERO_MEAN_TOL
+    failed = _failures(_family_checks(fam, cfg["tol"]))
     print(f"residual_max = {fam.residual_max:.3e}, cond = {fam.gram_condition:.3e}"
-          f" | {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+          f" | {'FAIL' if failed else 'PASS'}")
+    return 1 if failed else 0
 
 
 def _cmd_synthesize(cfg) -> int:
@@ -249,11 +246,10 @@ def _cmd_cost_sweep(cfg) -> int:
     report.save_csv(_out(cfg, "cost_sweep.csv"), header_comment=_config_header(cfg))
     if cfg["format"] == "json":
         _write_json(cfg, "cost_sweep.json", report.to_json_dict())
-    certified = all(p.ok and p.lower <= p.upper for p in report.points)
     print(f"{len(report.points)} alphas, product_upper ratio "
           f"{report.product_upper_ratio:.3g}, lower<=upper "
-          f"{'PASS' if certified else 'FAIL'}")
-    return 0 if certified else 1
+          f"{'PASS' if report.certified else 'FAIL'}")
+    return 0 if report.certified else 1
 
 
 def _cmd_verify(cfg) -> int:

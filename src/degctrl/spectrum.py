@@ -41,7 +41,7 @@ import numpy as np
 
 from . import bessel
 from .errors import DomainError, QuadratureError, UsageError, _require_int, _require_real
-from .quadrature import panel_rule
+from .quadrature import embedded_weights, panel_rule
 
 GAP_FIRST = 3.0 * np.pi / 8.0
 GAP_CONSECUTIVE = 7.0 * np.pi / 16.0
@@ -63,8 +63,9 @@ class Mode:
 
 
 #: one panel count's rule in y = x^kappa, read-only: nodes y, weights w,
-#: x = y^{1/kappa}, common = w y^{1/(2-a)} / kappa, and table[n-1] = J_nu(j_n y)
-_Rule = namedtuple("_Rule", "y w x common table")
+#: x = y^{1/kappa}, common = w y^{1/(2-a)} / kappa, embedded = the same with
+#: each panel's ``embedded_weights`` for w, and table[n-1] = J_nu(j_n y)
+_Rule = namedtuple("_Rule", "y w x common embedded table")
 
 
 @dataclass(frozen=True)
@@ -132,22 +133,19 @@ class SpectralBasis:
             int_0^1 f(x) Phi_n(x) dx
                 = (C_n / kappa) int_0^1 f(y^{1/kappa}) J_nu(j_n y) y^{1/(2-a)} dy.
 
-        Each rule is evaluated once per basis; the counts not yet held come
-        from one ``bessel_j_many`` call over their joined nodes. Each value
-        depends only on its own argument, so each table has the bits of a
-        call of its own. Filling is idempotent, so callers need no lock.
+        Each rule is evaluated once per basis, by one ``bessel_j_many`` call
+        per count not yet held. Filling is idempotent, so callers need no lock.
         """
         for panels in panel_counts:
             _require_int("panels", panels)
-        missing = [p for p in panel_counts if p not in self._rules]
-        if missing:
-            rules = [panel_rule(0.0, 1.0, p, DEFAULT_NODES) for p in missing]
-            joined = bessel.bessel_j_many(
-                self.nu, self.zeros[:, None] * np.concatenate([y for y, _ in rules]))
-            splits = np.cumsum([len(y) for y, _ in rules[:-1]])
-            for p, (y, w), part in zip(missing, rules, np.split(joined, splits, axis=1)):
-                rule = _Rule(y, w, y ** (1.0 / self.kappa),
-                             w * y ** (1.0 / (2.0 - self.alpha)) / self.kappa, part.copy())
+        for p in panel_counts:
+            if p not in self._rules:
+                y, w = panel_rule(0.0, 1.0, p, DEFAULT_NODES)
+                scale = y ** (1.0 / (2.0 - self.alpha))
+                we = np.tile(embedded_weights(DEFAULT_NODES), p) / (2 * p)
+                rule = _Rule(y, w, y ** (1.0 / self.kappa), w * scale / self.kappa,
+                             we * scale / self.kappa,
+                             bessel.bessel_j_many(self.nu, self.zeros[:, None] * y))
                 for arr in rule:
                     arr.flags.writeable = False
                 self._rules[p] = rule
@@ -282,19 +280,22 @@ def _phi_scalar_precise(basis: SpectralBasis, mode: Mode, x: float) -> float:
 
 def project(basis: SpectralBasis, f, panels: int = DEFAULT_PANELS,
             tol: float = 1e-8) -> MomentVector:
-    """Fourier-Bessel coefficients mu_n = int_0^1 f Phi_n dx.
+    """Fourier-Bessel coefficients mu_n = int_0^1 f Phi_n dx, by the rule on
+    2 * ``panels`` panels from ``basis.tables``.
 
-    ``f`` must accept an ndarray of points in [0, 1]. The quadrature error
-    is estimated by doubling the panel count; estimates above ``tol``
-    raise ``QuadratureError`` rather than passing silently. ``panels``
-    must be a positive int; both rules come from ``basis.tables``. ``tol``
+    ``f`` must accept an ndarray of points in [0, 1]. The rule embedded in
+    each panel's nodes (``quadrature.embedded_weights``) estimates the error
+    on the same table; estimates above ``tol`` raise ``QuadratureError``
+    rather than passing silently. ``panels`` must be a positive int. ``tol``
     must be finite and positive (``DomainError`` otherwise): no estimate
     exceeds a NaN or infinite one, which would switch the check off.
     """
     tol = _require_real("tol", tol, positive=True)
-    coarse, fine = (basis.norm_consts * (rule.table @ (np.asarray(f(rule.x), dtype=float)
-                                                       * rule.common))
-                    for rule in basis.tables(panels, 2 * panels))
+    _require_int("panels", panels)
+    rule = basis.tables(2 * panels)[0]
+    fx = np.asarray(f(rule.x), dtype=float)
+    fine, coarse = (basis.norm_consts * (rule.table @ (fx * weights))
+                    for weights in (rule.common, rule.embedded))
     err = float(np.max(np.abs(fine - coarse)))
     if err > tol:
         raise QuadratureError(

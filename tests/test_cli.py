@@ -340,6 +340,31 @@ class TestOneRuleGatesEveryConsumer:
                     in str(err.value))
 
 
+class TestLibraryVerdicts:
+    """biortho and cost-sweep print the verdict of the library's own checks."""
+
+    @pytest.mark.parametrize("limit, code", [(cost.ZERO_MEAN_TOL, 0), (1e-300, 1)])
+    def test_zero_mean_limit_flips_biortho_and_verify_together(
+            self, limit, code, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cost, "ZERO_MEAN_TOL", limit)
+        args = ["--alpha", "0.5", "--modes", "6", "--out-dir", str(tmp_path)]
+        assert run_cli(["biortho", *args]) == code
+        assert run_cli(["verify", *args]) == code
+        record = json.loads((tmp_path / "verify.json").read_text())
+        zero_mean = {c["name"]: c for c in record["checks"]}["zero_mean"]
+        assert zero_mean["passed"] is (code == 0)
+        assert zero_mean["metric"] > 1e-300
+
+    @pytest.mark.parametrize("certified, code", [(True, 0), (False, 1)])
+    def test_cost_sweep_verdict_is_the_reports(self, certified, code, monkeypatch,
+                                               tmp_path, capsys):
+        monkeypatch.setattr(cost.CostReport, "certified", property(lambda _: certified))
+        assert run_cli(["cost-sweep", "--alphas", "0.5", "--modes", "6", "--u0",
+                        "mode:1", "--out-dir", str(tmp_path)]) == code
+        verdict = "PASS" if certified else "FAIL"
+        assert capsys.readouterr().out.endswith(f"lower<=upper {verdict}\n")
+
+
 class TestInstalledEntryPoint:
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(

@@ -10,12 +10,13 @@ import pytest
 from degctrl import bessel, cost
 from degctrl.biortho import build_biortho, eval_sigma
 from degctrl.control import reachability_score
-from degctrl.cost import (BOUNDARY_TOL, ORACLE_TOL, TERMINAL_TOL, cost_lower,
-                          cost_sweep, cost_upper, null_control, resolve_u0, verify)
+from degctrl.cost import (BOUNDARY_TOL, ORACLE_TOL, TERMINAL_TOL, CostPoint,
+                          CostReport, cost_lower, cost_sweep, cost_upper,
+                          null_control, resolve_u0, verify)
 from degctrl.errors import AccuracyError, DomainError, UsageError
 from degctrl.quadrature import panel_rule
-from degctrl.spectrum import (MomentVector, make_basis, make_limit_basis,
-                              project, unit_moment)
+from degctrl.spectrum import (LimitBasis, MomentVector, make_basis,
+                              make_limit_basis, project, unit_moment)
 
 
 class TestCostUpper:
@@ -219,6 +220,31 @@ class TestCostSweep:
                             lambda *a: calls.append(a) or zero(*a))
         cost_sweep([0.1, 0.3, 0.5, 0.7, 0.9], "mode:1", 1.0, 12)
         assert len(calls) == 60
+
+
+    def test_profile_lower_is_cost_lower_without_limit_coeffs(self, monkeypatch):
+        def unread(self, f):
+            raise AssertionError("cost_sweep projected u0 on the limit basis")
+
+        monkeypatch.setattr(LimitBasis, "project", unread)
+        alphas = [0.92, 0.97, 0.99]
+        report = cost_sweep(alphas, "poly:x(1-x)", 1.0, 8)
+        for alpha, point in zip(alphas, report.points):
+            mu0 = resolve_u0("poly:x(1-x)", make_basis(alpha, 8))
+            unit = MomentVector(alpha=alpha, basis_id=mu0.basis_id, coefficients=(
+                mu0.coefficients / float(np.linalg.norm(mu0.coefficients))))
+            assert point.lower == cost_lower(alpha, unit, 1.0)
+
+    def test_certified_needs_every_point_ok_and_ordered(self):
+        def report(*points):
+            return CostReport(points=tuple(CostPoint(alpha=0.5, upper=up, lower=low,
+                                                     n_used=None, ok=ok, message="")
+                                           for up, low, ok in points),
+                              u0_descr="mode:1", T=1.0, n_modes=6)
+
+        assert report((2.0, 1.0, True), (3.0, 3.0, True)).certified
+        assert not report((2.0, 1.0, True), (None, 1.0, False)).certified
+        assert not report((2.0, 1.0, True), (1.0, 2.0, True)).certified
 
 
 class TestOneBasisPerCall:

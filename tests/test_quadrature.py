@@ -44,3 +44,26 @@ class TestGaussLegendre:
         ref_x, ref_w = np.polynomial.legendre.leggauss(12)
         assert simulate._GAUSS_X.tobytes() == ref_x.tobytes()
         assert simulate._GAUSS_W.tobytes() == ref_w.tobytes()
+
+
+class TestEmbeddedWeights:
+    @pytest.mark.parametrize("nodes", [32, 64])
+    def test_exact_to_half_the_degree_with_positive_weights(self, nodes):
+        x, _ = gauss_legendre(nodes)
+        w = quadrature.embedded_weights(nodes)
+        kept = w != 0.0
+        assert np.count_nonzero(kept) == nodes // 2 and np.all(w[kept] > 0.0)
+        # every other node from each end: a half symmetric about 0
+        assert np.array_equal(kept, kept[::-1]) and kept[0] and not kept[1]
+        assert np.allclose(w, w[::-1], rtol=0.0, atol=1e-14)
+        for degree in range(nodes // 2):
+            exact = (1.0 - (-1.0) ** (degree + 1)) / (degree + 1)
+            assert abs(w @ x**degree - exact) < 1e-14, degree
+        # one degree higher the rule is no longer exact: it is not the Gauss rule
+        assert abs(w @ x ** (nodes // 2) - 2.0 / (nodes // 2 + 1)) > 1e-13
+
+    def test_computed_once_per_count_and_read_only(self):
+        w = quadrature.embedded_weights(64)
+        assert quadrature.embedded_weights(64) is w
+        with pytest.raises(ValueError):
+            w[0] = 0.0
