@@ -38,7 +38,7 @@ from ._fmt import write_csv, write_json
 from .biortho import BiorthogonalFamily, _affine_moments, exponential_gram
 from .errors import (AccuracyError, DomainError, TargetStiffnessError, UsageError,
                      _require_int, _require_real)
-from .quadrature import panel_rule
+from .quadrature import graded_rule
 from .spectrum import MomentVector, SpectralBasis, _exponents, _require_alpha, make_basis
 
 _OVERFLOW_LOG = np.log(1e300)
@@ -51,8 +51,8 @@ class ControlSignal:
 
     ``weights[k]`` multiplies e^{lambda_k (t-T)} in g; ``affine`` holds
     (A, B) of the accumulated representation of G. Norms are closed-form;
-    ``norm_check_rel`` is the relative deviation of an independent
-    quadrature evaluation of the norms.
+    ``norm_check_rel`` is the relative deviation of the norms by
+    quadrature on ``quadrature.graded_rule``.
     """
 
     T: float
@@ -183,7 +183,7 @@ def _norm_quadrature_check(signal: ControlSignal) -> float:
     scale = max(norms["g_l2"], norms["G_l2"])
     if scale == 0.0:
         return 0.0
-    t, w = panel_rule(0.0, signal.T, 8, 64)
+    t, w = graded_rule(signal.T)
     E = signal.exponentials(t)
     ng = np.sqrt(np.dot(w, (E @ signal.weights)**2))
     nG = np.sqrt(np.dot(w, signal.G_from_exponentials(t, E)**2))

@@ -49,7 +49,7 @@ from .biortho import (BiorthogonalFamily, build_biortho, eval_sigma,
                       exponential_gram)
 from .control import moment_residual, synthesize
 from .errors import AccuracyError, UsageError, _require_int, _require_real
-from .quadrature import panel_rule
+from .quadrature import graded_rule
 from .simulate import evolve
 from .spectrum import (_GAP_SLACK, MomentVector, SpectralBasis, _require_alpha,
                        gram_matrix, make_basis,
@@ -245,9 +245,7 @@ def verify(basis: SpectralBasis, fam: BiorthogonalFamily, mu0: MomentVector,
     record_checks(null_control(basis, fam, mu0, tol, grid_size=grid_size)[3])
 
     # replay int sigma_m e^{lambda_m t} dt = 1 by quadrature, damped split
-    # on 24 panels: mirrored by s = T - t, 32 panels would reuse the nodes
-    # of the family's own residual rule and lose the independence
-    t, w = panel_rule(0.0, T, 24, 32)
+    t, w = graded_rule(T)
     replay = 0.0
     for m in range(1, min(n, 4) + 1):
         lam_m = fam.lambdas[m - 1]

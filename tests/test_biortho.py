@@ -2,13 +2,13 @@ import json
 import warnings
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from degctrl import biortho
-from degctrl.biortho import (DEFAULT_TOL, _quadrature_gram, _solve_spd,
-                             bound_profile, build_biortho, eval_sigma,
-                             exponential_gram)
+from degctrl.biortho import (DEFAULT_TOL, _solve_spd, bound_profile,
+                             build_biortho, eval_sigma, exponential_gram)
 from degctrl.errors import (AccuracyError, ConditioningError, DomainError,
                             UsageError)
 from degctrl.quadrature import panel_rule
@@ -46,62 +46,6 @@ class TestGram:
             for j, mj in enumerate(mu):
                 ref = quad_integral(lambda t: np.exp((lk + mj) * (t - T)), T)
                 assert abs(cross[k, j] - ref) < 1e-14
-
-
-def unfactored_quadrature_gram(lambdas_full, T):
-    """The certificate's 32 x 32 Gauss rule summed node by node in long
-    double: all 1024 exponentials per exponent, no factoring."""
-    s, w = panel_rule(0.0, T, 32, 32)
-    E = np.exp(-np.asarray(lambdas_full, dtype=np.longdouble)[:, None]
-               * s.astype(np.longdouble))
-    return (E * w.astype(np.longdouble)) @ E.T
-
-
-def factored_quadrature_gram(lambdas_full, T):
-    """The certificate's factored rule evaluated afresh, keeping nothing."""
-    h = np.longdouble(T) / 32
-    lam = np.asarray(lambdas_full, dtype=np.longdouble)[:, None]
-    P = np.exp(-lam * (h * np.arange(32, dtype=np.longdouble)))
-    Q = np.exp(-lam * (h / 2 * (biortho._XG + 1)))
-    return (P @ P.T) * ((Q * (h / 2 * biortho._WG)) @ Q.T)
-
-
-class TestQuadratureGram:
-    # T = 0.7 is not dyadic: its nodes i h + (1 + x_q) h/2 round differently
-    # in the factored and the node-by-node evaluation
-    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
-    @pytest.mark.parametrize("T", [0.5, 0.7, 1.0, 2.0])
-    def test_factored_matches_node_by_node(self, alpha, T):
-        lams_full = np.concatenate([[0.0], make_basis(alpha, 16).eigenvalues])
-        M = _quadrature_gram(lams_full, T)
-        ref = unfactored_quadrature_gram(lams_full, T)
-        assert M.dtype == np.longdouble
-        assert np.max(np.abs(M - ref) / np.abs(ref)) <= 1e-16
-
-    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
-    @pytest.mark.parametrize("T", [0.5, 0.7, 2.0])
-    def test_kept_rule_matches_fresh_evaluation(self, alpha, T):
-        # the kept rule serves prefixes and extends to longer sets; every
-        # request order, a change of T and a set that is not a prefix of
-        # the kept one must give the fresh bits
-        lams_full = np.concatenate([[0.0], make_basis(alpha, 16).eigenvalues])
-        ladder = list(range(1, 17))
-        shuffled = np.random.default_rng(17).permutation(ladder)
-        requests = ([(lams_full[:n + 1], T) for n in ladder]
-                    + [(lams_full[:n + 1], T) for n in ladder[::-1]]
-                    + [(lams_full[:13], 2.0 * T), (lams_full, T),
-                       (np.delete(lams_full, 5), T), (lams_full[:9], T)]
-                    + [(lams_full[:n + 1], T) for n in shuffled])
-        for lf, t in requests:
-            M = _quadrature_gram(lf, t)
-            assert np.array_equal(M, factored_quadrature_gram(lf, t)), (len(lf), t)
-
-    def test_kept_rule_is_read_only(self):
-        lams_full = np.concatenate([[0.0], make_basis(0.5, 8).eigenvalues])
-        M = _quadrature_gram(lams_full, 1.0)
-        for arr in (M, _quadrature_gram(lams_full[:5], 1.0), *biortho._last_rule[1:]):
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
 
     def test_prefix_grams_are_leading_blocks(self):
         # the Gram of a prefix is the full Gram's leading block bit for bit
@@ -200,7 +144,7 @@ class TestBuild:
     def test_conditioning_error_is_an_accuracy_error(self):
         assert issubclass(ConditioningError, AccuracyError)
 
-    @pytest.mark.parametrize("T", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("T", [0.5, 1.0, 2.0, 4.0])
     def test_condition_gate_rejects_only_uncertifiable_families(self, T):
         # the gate is an early reject: each family it rejects fails the
         # certificate too, recomputed here past the gate
@@ -218,8 +162,7 @@ class TestBuild:
                 lams_full = np.concatenate([[0.0], lam[:n]])
                 B = np.eye(n + 1, n, k=-1)
                 A = _solve_spd(exponential_gram(lams_full, T), B)
-                M = _quadrature_gram(lams_full, T)
-                resid = (M @ A.astype(np.longdouble)).astype(float).T - B.T
+                resid = long_double_residual(lams_full, T, A)
                 assert np.max(np.abs(resid)) > DEFAULT_TOL, (alpha, n)
         assert rejected > 0
 
@@ -248,6 +191,14 @@ def masked_exponential_gram(lambdas_full, T):
     nz = L != 0.0
     out[nz] = (1.0 - np.exp(-L[nz] * T)) / L[nz]
     return out
+
+
+def long_double_residual(lams_full, T, A):
+    """The reflected residual G A - B with G the masked closed form, both in
+    long double, as a float (N, N+1) array."""
+    n = len(lams_full) - 1
+    M = masked_exponential_gram(np.asarray(lams_full, dtype=np.longdouble), T)
+    return (M @ A.astype(np.longdouble)).astype(float).T - np.eye(n + 1, n, k=-1).T
 
 
 def matmul_solve_spd(G, B):
@@ -303,8 +254,7 @@ class TestCertificateBits:
                 continue
             B = np.eye(n + 1, n, k=-1)
             A = matmul_solve_spd(G, B)
-            M = factored_quadrature_gram(lams_full, T)
-            resid = (M @ A.astype(np.longdouble)).astype(float).T - B.T
+            resid = long_double_residual(lams_full, T, A)
             try:
                 fam = build_biortho(lams_full[1:], T)
             except AccuracyError as err:
@@ -317,6 +267,62 @@ class TestCertificateBits:
             for got, ref in ((fam.gram, G), (fam.coeffs_reflected, A), (fam.residual, resid)):
                 assert got.tobytes() == ref.tobytes(), (alpha, n)
         assert rejected and certified
+
+
+def mpmath_residual(fam):
+    """max |G A - B| with G the closed form -expm1(-(lambda_j + lambda_k) T)
+    / (lambda_j + lambda_k) and every sum at 60 digits, from the family's
+    exponents and coefficients taken exactly."""
+    with mp.workdps(60):
+        lam = [mp.mpf(float(v)) for v in fam.lambdas_full]
+        T = mp.mpf(fam.T)
+        G = mp.matrix([[T if lj + lk == 0 else -mp.expm1(-(lj + lk) * T) / (lj + lk)
+                        for lk in lam] for lj in lam])
+        R = G * mp.matrix(fam.coeffs_reflected.tolist())
+        n = fam.n_modes
+        return float(max(abs(R[k, m] - (1 if k == m + 1 else 0))
+                         for k in range(n + 1) for m in range(n)))
+
+
+class TestClosedFormCertificate:
+    """The certificate reads the residual against the exact Gram, so it
+    bounds the family's own error at every horizon."""
+
+    def test_certifies_n11_at_t4(self):
+        fam = build_biortho(make_basis(0.0, 11).eigenvalues, 4.0)
+        assert fam.residual_max < 2e-7   # 1.80e-7 at 60 digits
+
+    @pytest.mark.parametrize("n", [8, 11, 12])
+    @pytest.mark.parametrize("T", [1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_residual_matches_60_digits(self, alpha, T, n):
+        # tol = 1 admits the N = 12 families the default tol rejects
+        fam = build_biortho(make_basis(alpha, n).eigenvalues, T, tol=1.0)
+        ref = mpmath_residual(fam)
+        assert abs(fam.residual_max - ref) <= 1e-3 * ref, (fam.residual_max, ref)
+
+    def test_rejects_what_exceeds_tol_at_t2(self):
+        # a uniform 32 x 32 Gauss rule on [0, T] reads 9.98e-7 and admits it
+        lam = make_basis(0.42912980485663865, 12).eigenvalues
+        with pytest.raises(AccuracyError, match=r"residual 1\.054e-06 exceeds"):
+            build_biortho(lam, 2.0)
+
+    @pytest.mark.parametrize("T", [0.1, 1.0, 4.0])
+    @pytest.mark.parametrize("alpha", [0.0, 0.9])
+    def test_long_double_gram_matches_quadrature(self, alpha, T):
+        # the formula itself, against int_0^T e^{-(lambda_j + lambda_k) s} ds
+        # by mpmath's tanh-sinh quadrature at 30 digits
+        lams_full = np.concatenate([[0.0], make_basis(alpha, 12).eigenvalues])
+        G = exponential_gram(lams_full.astype(np.longdouble), T)
+        assert G.dtype == np.longdouble
+        with mp.workdps(30):
+            for j in range(0, 13, 3):
+                for k in range(j, 13, 2):
+                    c = mp.mpf(float(lams_full[j])) + mp.mpf(float(lams_full[k]))
+                    # split off the boundary layer at s = 1/c
+                    points = [0, T] if c * T <= 1 else [0, 1 / c, T]
+                    ref = mp.quad(lambda s: mp.exp(-c * s), points)
+                    assert abs(mp.mpf(str(G[j, k])) - ref) <= 1e-17 * ref, (j, k)
 
 
 def count_solves(monkeypatch):
@@ -415,26 +421,22 @@ def _outcome(lams, T):
 
 
 class TestPerHorizonConstants:
-    """The shift matrix and the rule's nodes and weights are computed once per
-    N and per T; a ladder that returns to an earlier T must not see another's."""
+    """The shift matrix is computed once per N; a ladder that returns to an
+    earlier T must not see another T's bits."""
 
     @pytest.mark.parametrize("alpha", [0.3, 0.9])
-    def test_ladders_equal_cold_builds(self, alpha, monkeypatch):
+    def test_ladders_equal_cold_builds(self, alpha):
         lam = make_basis(alpha, 16).eigenvalues
         ladder = range(8, 17)
         cold = {}
         for T in (0.5, 2.0):
             for n in ladder:
-                monkeypatch.setattr(biortho, "_last_rule", (np.nan, *biortho._last_rule[1:]))
                 biortho._shift.cache_clear()
-                biortho._rule_nodes.cache_clear()
                 cold[n, T] = _outcome(lam[:n], T)
         kinds = {type(v[0]) for v in cold.values()}
         assert kinds == {str, float}   # the ladder both rejects and certifies
         for T in (0.5, 2.0, 0.5):
             for given in (T, np.float64(T), np.array(T)):
-                # no kept rule: each ladder builds its rule from the per-T nodes
-                monkeypatch.setattr(biortho, "_last_rule", (np.nan, *biortho._last_rule[1:]))
                 for n in ladder:
                     assert _outcome(lam[:n], given) == cold[n, T], (n, repr(given))
 

@@ -75,6 +75,17 @@ class TestVerifyCommand:
         assert report["all_passed"] is True
         assert all(c["passed"] for c in report["checks"])
 
+    def test_long_horizon_battery_passes(self, tmp_path, capsys):
+        # T = 4: the boundary layers of e^{lambda (t-T)} at t = T are resolved
+        # by the graded sigma replay and certified by the closed-form Gram
+        code = run_cli(["verify", "--alpha", "0", "--modes", "10",
+                        "--horizon", "4", "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert "verify: PASS (13/13 checks)" in capsys.readouterr().out
+        checks = {c["name"]: c["metric"]
+                  for c in json.loads((tmp_path / "verify.json").read_text())["checks"]}
+        assert checks["sigma_replay"] < 1e-8 and checks["biorthogonality"] < 1e-7
+
     def test_deterministic_artifacts(self, tmp_path):
         outdir = tmp_path / "out"
         args = ["verify", "--alpha", "0.3", "--modes", "6", "--horizon", "1",
@@ -516,9 +527,8 @@ class TestChainReuse:
         return args if command == "verify" else args + ["--u0", "poly:x(1-x)"]
 
     @staticmethod
-    def cold_caches(monkeypatch):
+    def cold_caches():
         cli._chain.cache_clear()
-        monkeypatch.setattr(biortho, "_last_rule", (np.nan, *biortho._last_rule[1:]))
 
     @staticmethod
     def artifacts(out_dir):
@@ -527,10 +537,10 @@ class TestChainReuse:
     def test_artifacts_match_cold_runs(self, tmp_path, monkeypatch, capsys):
         out_dir = tmp_path / "out"
         for command in self.COMMANDS:
-            self.cold_caches(monkeypatch)
+            self.cold_caches()
             assert run_cli(self.argv(command, out_dir)) == 0
         cold = self.artifacts(out_dir), capsys.readouterr()
-        self.cold_caches(monkeypatch)
+        self.cold_caches()
         solves, solve = [], biortho._solve_spd
 
         def counting(G, B):
@@ -546,7 +556,7 @@ class TestChainReuse:
                                    "trajectory.csv", "trajectory.json", "verify.json"]
         assert warm == cold
 
-    def test_signed_zero_alphas_keep_their_own_pair(self, tmp_path, monkeypatch):
+    def test_signed_zero_alphas_keep_their_own_pair(self, tmp_path):
         # control.json embeds alpha: -0.0 after 0.0 must not reuse 0.0's pair
         def control(alpha):
             out_dir = tmp_path / alpha
@@ -554,7 +564,7 @@ class TestChainReuse:
                             "--u0", "mode:1", "--out-dir", str(out_dir)]) == 0
             return json.loads((out_dir / "control.json").read_text())["alpha"]
 
-        self.cold_caches(monkeypatch)
+        self.cold_caches()
         first, second = control("0.0"), control("-0.0")
         assert (math.copysign(1.0, first), math.copysign(1.0, second)) == (1.0, -1.0)
 

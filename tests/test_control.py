@@ -96,6 +96,14 @@ class TestSynthesize:
         assert nG == pytest.approx(sig.norms["G_l2"], rel=1e-6)
         assert sig.norms["G_h1"] == pytest.approx(math.hypot(ng, nG), rel=1e-6)
 
+    def test_norm_check_at_long_horizon(self):
+        # N = 12 at T = 2: a uniform rule of 8 panels of 64 nodes reads
+        # ||g||^2 3.4e-5 low here, a norm deviation of 1.7e-5 relative
+        basis = make_basis(0.04949814584399405, 12)
+        fam = build_biortho(basis.eigenvalues, 2.0)
+        sig = synthesize(basis, fam, unit_moment(basis, 1), zero_target(basis))
+        assert sig.norm_check_rel < 1e-6
+
     def test_g_is_sigma_combination(self, laplace_setup):
         basis, fam = laplace_setup
         mu0 = project(basis, lambda x: x * (1.0 - x))
@@ -331,10 +339,13 @@ CHAIN_GRID = [(alpha, n, T, u0) for alpha in (0.0, 0.5, 0.9) for n in (6, 11)
               for T in (0.5, 1.0) for u0 in ("mode:1", "poly:x(1-x)")]
 #: sha256 of chain_bits over CHAIN_GRID, then the run to mode 2 at alpha 0.5,
 #: N = 6, T = 1
-CHAIN_SHA256 = "767e7e8a77d7d197ce00c68897ad4ba2d9492aa352b8ee2eab3a3ea9faf09e38"
+CHAIN_SHA256 = "d9edd8aa0a18c6409c03a6b5f2eda491d692e140a5af042e8c8a4901852626a4"
+#: the same without ``norm_check_rel``: the closed forms' bits alone, which a
+#: change of the norm check's quadrature rule leaves as they are
+CLOSED_FORM_SHA256 = "d84b01883fb0264b07dc5966df33eaa8073b34a31cfebe37f7e3f418275cd314"
 
 
-def chain_bits(alpha, n, T, u0, target=None) -> bytes:
+def chain_bits(alpha, n, T, u0, target=None, norm_check=True) -> bytes:
     """The bits of synthesize, moment_residual and evolve on one run."""
     basis = make_basis(alpha, n)
     fam = build_biortho(basis.eigenvalues, T)
@@ -342,8 +353,8 @@ def chain_bits(alpha, n, T, u0, target=None) -> bytes:
     muT = zero_target(basis) if target is None else unit_moment(basis, target)
     sig = synthesize(basis, fam, mu0, muT)
     traj = evolve(basis, mu0, sig)
-    scalars = [*(sig.norms[k] for k in ("g_l2", "G_l2", "G_h1")), sig.norm_check_rel,
-               *sig.affine, traj.oracle_deviation]
+    scalars = [*(sig.norms[k] for k in ("g_l2", "G_l2", "G_h1")),
+               *[sig.norm_check_rel][:norm_check], *sig.affine, traj.oracle_deviation]
     parts = (sig.weights, np.array(scalars), moment_residual(basis, sig, mu0, muT),
              moment_residual(basis, sig, mu0, muT, n_extra=5), traj.v, traj.G_trace,
              traj.u_coeffs)
@@ -356,9 +367,16 @@ class TestPinnedBits:
     ``biortho._affine_moments``: ``b * (T - i1) / lam`` in place of
     ``b * (T / lam - i1 / lam)``."""
 
-    def test_chain_digest(self):
+    @staticmethod
+    def digest(norm_check):
         digest = hashlib.sha256()
         for case in CHAIN_GRID:
-            digest.update(chain_bits(*case))
-        digest.update(chain_bits(0.5, 6, 1.0, "mode:1", target=2))
-        assert digest.hexdigest() == CHAIN_SHA256
+            digest.update(chain_bits(*case, norm_check=norm_check))
+        digest.update(chain_bits(0.5, 6, 1.0, "mode:1", target=2, norm_check=norm_check))
+        return digest.hexdigest()
+
+    def test_chain_digest(self):
+        assert self.digest(norm_check=True) == CHAIN_SHA256
+
+    def test_closed_form_digest(self):
+        assert self.digest(norm_check=False) == CLOSED_FORM_SHA256

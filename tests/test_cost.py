@@ -341,6 +341,29 @@ class TestDiagnostics:
                                         "gram_condition"]
 
 
+class TestPinnedLimits:
+    """The rule that applies a limit and two of null_control's limits,
+    written out here, so that moving one fails a test."""
+
+    @staticmethod
+    def limits():
+        basis = make_basis(0.5, 6)
+        fam = build_biortho(basis.eigenvalues, 1.0)
+        checks = null_control(basis, fam, unit_moment(basis, 1), 1e-6)[3]
+        assert not cost._failures(checks)
+        return {name: limit for name, _, limit in checks}
+
+    def test_failures_fail_a_nan_reading(self):
+        assert cost._failures([("oracle", math.nan, 1.0)]) == ["oracle nan > 1e+00"]
+        assert cost._failures([("oracle", 1.0, 1.0)]) == []
+
+    def test_terminal_state_limit(self):
+        assert self.limits()["terminal_state"] == 1e-5
+
+    def test_boundary_return_limit(self):
+        assert self.limits()["boundary_return"] == 1e-8
+
+
 class TestResolveU0:
     def test_mode_descriptor(self):
         basis = make_basis(0.5, 5)

@@ -1,10 +1,11 @@
 import collections
+import math
 
 import numpy as np
 import pytest
 
-from degctrl import biortho, quadrature, simulate
-from degctrl.quadrature import gauss_legendre, panel_rule
+from degctrl import quadrature, simulate
+from degctrl.quadrature import gauss_legendre, graded_rule, panel_rule
 
 
 class TestGaussLegendre:
@@ -36,11 +37,6 @@ class TestGaussLegendre:
         assert set(calls) == {32, 64}
 
     def test_module_rules_keep_their_bits(self):
-        # long double bytes hold padding, so those compare by value, exactly
-        ref_x, ref_w = np.polynomial.legendre.leggauss(32)
-        assert biortho._XG.dtype == biortho._WG.dtype == np.longdouble
-        assert (biortho._XG == ref_x.astype(np.longdouble)).all()
-        assert (biortho._WG == ref_w.astype(np.longdouble)).all()
         ref_x, ref_w = np.polynomial.legendre.leggauss(12)
         assert simulate._GAUSS_X.tobytes() == ref_x.tobytes()
         assert simulate._GAUSS_W.tobytes() == ref_w.tobytes()
@@ -67,3 +63,26 @@ class TestEmbeddedWeights:
         assert quadrature.embedded_weights(64) is w
         with pytest.raises(ValueError):
             w[0] = 0.0
+
+
+class TestGradedRule:
+    #: lambda_16 at alpha 0, (16 pi)^2, the largest 16th eigenvalue on [0, 1)
+    LAMBDA_16 = (16.0 * math.pi) ** 2
+
+    def test_layout(self):
+        t, w = graded_rule(2.0)
+        assert len(t) == len(w) == 408
+        assert len(np.unique(t)) == 408 and np.all((0.0 < t) & (t < 2.0))
+        assert np.all(w > 0.0) and abs(w.sum() - 2.0) < 1e-15
+        # 24 nodes on each panel; the one next to t = T is 2^-16 of T wide
+        assert np.count_nonzero(2.0 - t < 2.0 * 2.0 ** -16) == 24
+        assert np.count_nonzero(t < 1.0) == 24
+
+    @pytest.mark.parametrize("T", [0.1, 1.0, 4.0])
+    def test_damped_exponentials_to_1e_13(self, T):
+        # every rate up to 2 lambda_16, so c T up to 2 lambda_16 T
+        t, w = graded_rule(T)
+        for c in np.concatenate([[0.0], np.geomspace(1e-3, 2.0 * self.LAMBDA_16, 300)]):
+            exact = T if c == 0.0 else -math.expm1(-c * T) / c
+            got = np.dot(w, np.exp(c * (t - T)))
+            assert abs(got - exact) <= 1e-13 * exact, c

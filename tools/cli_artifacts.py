@@ -47,7 +47,7 @@ CONFIGS = {
     "biortho_a05_n2": ["biortho", "--alpha", "0.5", "--modes", "2"],
     "biortho_a09_n10_t2": ["biortho", "--alpha", "0.9", "--modes", "10",
                            "--horizon", "2"],
-    # T = 0.7: the certificate's nodes are inexact, N = 11 near the ceiling
+    # T = 0.7: N = 11 near the ceiling
     "biortho_a05_n11_t07": ["biortho", "--alpha", "0.5", "--modes", "11",
                             "--horizon", "0.7"],
     # T = 0.05: the family certifies (residual 1.2e-7), but its zero-mean
@@ -59,6 +59,9 @@ CONFIGS = {
     "biortho_a0_n12": ["biortho", "--alpha", "0", "--modes", "12"],
     # N = 16 at T = 1: the condition gate rejects before any solve
     "biortho_a0_n16_gated": ["biortho", "--alpha", "0", "--modes", "16"],
+    # T = 4: N = 11 certifies with residual 1.80e-7 against the exact Gram
+    "biortho_a0_n11_t4": ["biortho", "--alpha", "0", "--modes", "11",
+                          "--horizon", "4"],
     "synthesize_a05_bump": ["synthesize", "--alpha", "0.5", "--modes", "8",
                             "--u0", "poly:x(1-x)"],
     "synthesize_a05_target": ["synthesize", "--alpha", "0.5", "--modes", "6",
@@ -101,7 +104,7 @@ CONFIGS = {
     # alpha = 0.9 no N passes
     "cost_sweep_t002_backoff": ["cost-sweep", "--alphas", "0,0.9", "--modes", "8",
                                 "--horizon", "0.02", "--u0", "mode:1"],
-    # N = 12 is rejected at both alphas; the N = 11 retry reuses its rule
+    # N = 12 is rejected at both alphas, so both back off to N = 11
     "cost_sweep_n12_backoff": ["cost-sweep", "--alphas", "0.3,0.6", "--modes", "12",
                                "--u0", "mode:1"],
     "cost_sweep_csv_state": ["cost-sweep", "--alphas", "0.3", "--modes", "6",
@@ -119,6 +122,8 @@ CONFIGS = {
     "verify_a09_n8": ["verify", "--alpha", "0.9", "--modes", "8"],
     "verify_a05_n10": ["verify", "--alpha", "0.5", "--modes", "10"],
     "verify_a0_n10_t2": ["verify", "--alpha", "0", "--modes", "10", "--horizon", "2"],
+    # T = 4: the sigma replay needs the time rule graded toward t = T
+    "verify_a0_n10_t4": ["verify", "--alpha", "0", "--modes", "10", "--horizon", "4"],
     "verify_a03_n6_t05": ["verify", "--alpha", "0.3", "--modes", "6",
                           "--horizon", "0.5", "--tol", "1e-7"],
     "verify_config_file": ["verify", "--config", "verify.cfg", "--modes", "6"],
