@@ -52,14 +52,20 @@ def panel_rule(a: float, b: float, panels: int = 8, nodes: int = 64):
     return a + (b - a) * x, (b - a) * w
 
 
+def edge_rule(edges, nodes: int):
+    """Composite Gauss-Legendre nodes and weights with ``nodes`` points on
+    each panel [edges[k], edges[k+1]] of increasing ``edges``."""
+    xg, wg = gauss_legendre(nodes)
+    edges = np.asarray(edges, dtype=float)
+    a, h = edges[:-1, None], np.diff(edges)[:, None]
+    return (a + h * (xg + 1.0) / 2.0).ravel(), (h / 2.0 * wg).ravel()
+
+
 @lru_cache(maxsize=1)
 def _graded_unit():
     """Distances s from the end and weights of the graded rule on [0, 1]:
     24 Gauss nodes on each of [2^-(k+1), 2^-k], k < 16, and [0, 2^-16]."""
-    xg, wg = gauss_legendre(24)
-    edges = np.concatenate([[0.0], 2.0 ** -np.arange(16, -1, -1)])
-    a, h = edges[:-1, None], np.diff(edges)[:, None]
-    return (a + h * (xg + 1.0) / 2.0).ravel(), (h / 2.0 * wg).ravel()
+    return edge_rule(np.concatenate([[0.0], 2.0 ** -np.arange(16, -1, -1)]), 24)
 
 
 def graded_rule(T: float):

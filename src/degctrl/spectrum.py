@@ -36,12 +36,13 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from . import bessel
 from .errors import DomainError, QuadratureError, UsageError, _require_int, _require_real
-from .quadrature import embedded_weights, panel_rule
+from .quadrature import edge_rule, embedded_weights, panel_rule
 
 GAP_FIRST = 3.0 * np.pi / 8.0
 GAP_CONSECUTIVE = 7.0 * np.pi / 16.0
@@ -49,6 +50,23 @@ _GAP_SLACK = 1e-12
 
 DEFAULT_PANELS = 8
 DEFAULT_NODES = 64
+
+#: key of the graded rule in ``SpectralBasis.tables``
+GRADED = "graded"
+#: the graded rule's panels toward y = 0, the one point where a smooth f
+#: is not smooth in y: f(y^{2/(2-a)}) has a fractional power there
+_GRADED_EDGES = (0.0, 1.0 / 64.0, 1.0 / 16.0, 0.25)
+#: radians of j_N y per uniform panel of the graded rule on [1/4, 1]
+_GRADED_RADIANS = 20.0
+#: ``project`` returns the graded rule's sum when its estimate is at most
+#: this times ``tol``. On 945 non-smooth profiles (|x - c|, steps and
+#: sqrt|x - c|, 63 points c each, alpha in {0, 0.3, 0.5, 0.9, 0.99},
+#: N = 8) the estimate read below the graded rule's error against a
+#: 128-panel reference by at most 151x, so a result accepted there errs by
+#: at most 0.15 tol; at a margin of 1 the graded rule accepted more results
+#: with an error above tol than the uniform rule alone, at every tol in
+#: 1e-8..1e-3.
+GRADED_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -62,9 +80,22 @@ class Mode:
     neumann_trace: float
 
 
-#: one panel count's rule in y = x^kappa, read-only: nodes y, weights w,
-#: x = y^{1/kappa}, common = w y^{1/(2-a)} / kappa, embedded = the same with
-#: each panel's ``embedded_weights`` for w, and table[n-1] = J_nu(j_n y)
+@lru_cache(maxsize=8)
+def _graded_nodes(uniform: int):
+    """Read-only nodes, weights and embedded weights of the graded rule with
+    ``uniform`` panels on [1/4, 1], computed once per count."""
+    edges = np.concatenate([_GRADED_EDGES[:-1],
+                            np.linspace(_GRADED_EDGES[-1], 1.0, uniform + 1)])
+    y, w = edge_rule(edges, DEFAULT_NODES)
+    nodes = y, w, (np.diff(edges)[:, None] / 2.0 * embedded_weights(DEFAULT_NODES)).ravel()
+    for arr in nodes:
+        arr.flags.writeable = False
+    return nodes
+
+
+#: one rule in y = x^kappa, read-only: nodes y, weights w, x = y^{1/kappa},
+#: common = w y^{1/(2-a)} / kappa, embedded = the same with each panel's
+#: ``embedded_weights`` for w, and table[n-1] = J_nu(j_n y)
 _Rule = namedtuple("_Rule", "y w x common embedded table")
 
 
@@ -127,29 +158,41 @@ class SpectralBasis:
     def basis_id(self) -> str:
         return f"alpha={self.alpha!r};N={self.n_modes}"
 
-    def tables(self, *panel_counts: int) -> list[_Rule]:
-        """Each panel count's rule in y = x^kappa and its J_nu table, where
+    def tables(self, *keys) -> list[_Rule]:
+        """Each key's rule in y = x^kappa and its J_nu table, where
 
             int_0^1 f(x) Phi_n(x) dx
                 = (C_n / kappa) int_0^1 f(y^{1/kappa}) J_nu(j_n y) y^{1/(2-a)} dy.
 
-        Each rule is evaluated once per basis, by one ``bessel_j_many`` call
-        per count not yet held. Filling is idempotent, so callers need no lock.
+        A key is a panel count, for that many uniform panels, or ``GRADED``:
+        panels [0, 1/64], [1/64, 1/16], [1/16, 1/4], then one uniform panel
+        per about 20 radians of j_N y on [1/4, 1] (one up to N = 8, four at
+        N = 30). Every panel holds 64 Gauss nodes. Each rule is evaluated
+        once per basis, by one ``bessel_j_many`` call per key not yet held.
+        Filling is idempotent, so callers need no lock.
         """
-        for panels in panel_counts:
-            _require_int("panels", panels)
-        for p in panel_counts:
-            if p not in self._rules:
-                y, w = panel_rule(0.0, 1.0, p, DEFAULT_NODES)
+        for key in keys:
+            if key != GRADED:
+                _require_int("panels", key)
+        for key in keys:
+            if key not in self._rules:
+                y, w, we = self._nodes(key)
                 scale = y ** (1.0 / (2.0 - self.alpha))
-                we = np.tile(embedded_weights(DEFAULT_NODES), p) / (2 * p)
                 rule = _Rule(y, w, y ** (1.0 / self.kappa), w * scale / self.kappa,
                              we * scale / self.kappa,
                              bessel.bessel_j_many(self.nu, self.zeros[:, None] * y))
                 for arr in rule:
                     arr.flags.writeable = False
-                self._rules[p] = rule
-        return [self._rules[p] for p in panel_counts]
+                self._rules[key] = rule
+        return [self._rules[key] for key in keys]
+
+    def _nodes(self, key):
+        """Nodes, weights and embedded weights of rule ``key`` on [0, 1]."""
+        if key == GRADED:
+            span = (1.0 - _GRADED_EDGES[-1]) * self._columns[0, -1]
+            return _graded_nodes(math.ceil(span / _GRADED_RADIANS))
+        y, w = panel_rule(0.0, 1.0, key, DEFAULT_NODES)
+        return y, w, np.tile(embedded_weights(DEFAULT_NODES), key) / (2 * key)
 
     def to_json_dict(self) -> dict:
         return {
@@ -278,29 +321,43 @@ def _phi_scalar_precise(basis: SpectralBasis, mode: Mode, x: float) -> float:
     return mode.norm_const * x ** ((1.0 - basis.alpha) / 2.0) * ev.value
 
 
-def project(basis: SpectralBasis, f, panels: int = DEFAULT_PANELS,
-            tol: float = 1e-8) -> MomentVector:
-    """Fourier-Bessel coefficients mu_n = int_0^1 f Phi_n dx, by the rule on
-    2 * ``panels`` panels from ``basis.tables``.
-
-    ``f`` must accept an ndarray of points in [0, 1]. The rule embedded in
-    each panel's nodes (``quadrature.embedded_weights``) estimates the error
-    on the same table; estimates above ``tol`` raise ``QuadratureError``
-    rather than passing silently. ``panels`` must be a positive int. ``tol``
-    must be finite and positive (``DomainError`` otherwise): no estimate
-    exceeds a NaN or infinite one, which would switch the check off.
-    """
-    tol = _require_real("tol", tol, positive=True)
-    _require_int("panels", panels)
-    rule = basis.tables(2 * panels)[0]
+def _rule_sums(basis: SpectralBasis, rule: _Rule, f):
+    """C_n int f Phi_n dx by ``rule`` and its embedded rule's error estimate."""
     fx = np.asarray(f(rule.x), dtype=float)
     fine, coarse = (basis.norm_consts * (rule.table @ (fx * weights))
                     for weights in (rule.common, rule.embedded))
-    err = float(np.max(np.abs(fine - coarse)))
-    if err > tol:
-        raise QuadratureError(
-            f"projection quadrature did not converge: estimated error "
-            f"{err:.3e} > tol {tol:.1e} (panels={panels}, nodes={DEFAULT_NODES})")
+    return fine, float(np.max(np.abs(fine - coarse)))
+
+
+def project(basis: SpectralBasis, f, panels: int = DEFAULT_PANELS,
+            tol: float = 1e-8) -> MomentVector:
+    """Fourier-Bessel coefficients mu_n = int_0^1 f Phi_n dx, by the graded
+    rule when it resolves f, else by the rule on 2 * ``panels`` uniform
+    panels; both come from ``basis.tables``.
+
+    ``f`` must accept an ndarray of points in [0, 1]. The rule embedded in
+    each panel's nodes (``quadrature.embedded_weights``) estimates each
+    rule's error on its own table. The graded rule (``GRADED``: panels
+    shrinking toward y = 0 and about 20 radians of j_N y per panel beyond
+    y = 1/4, 256 points a mode up to N = 8) resolves a smooth f; its sum is
+    returned only when its estimate is at most ``GRADED_MARGIN`` (1e-3)
+    times ``tol``, a margin whose measurement the constant states. Any other
+    f falls through to the uniform rule, whose estimate above ``tol``
+    raises ``QuadratureError`` rather than passing silently. For f with
+    kinks or jumps neither estimate is a bound. ``panels`` must be a
+    positive int. ``tol`` must be finite and positive (``DomainError``
+    otherwise): no estimate exceeds a NaN or infinite one, which would
+    switch the check off.
+    """
+    tol = _require_real("tol", tol, positive=True)
+    _require_int("panels", panels)
+    fine, err = _rule_sums(basis, basis.tables(GRADED)[0], f)
+    if not err <= GRADED_MARGIN * tol:
+        fine, err = _rule_sums(basis, basis.tables(2 * panels)[0], f)
+        if err > tol:
+            raise QuadratureError(
+                f"projection quadrature did not converge: estimated error "
+                f"{err:.3e} > tol {tol:.1e} (panels={panels}, nodes={DEFAULT_NODES})")
     return MomentVector(alpha=basis.alpha, coefficients=fine,
                         basis_id=basis.basis_id)
 

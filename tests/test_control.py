@@ -339,10 +339,10 @@ CHAIN_GRID = [(alpha, n, T, u0) for alpha in (0.0, 0.5, 0.9) for n in (6, 11)
               for T in (0.5, 1.0) for u0 in ("mode:1", "poly:x(1-x)")]
 #: sha256 of chain_bits over CHAIN_GRID, then the run to mode 2 at alpha 0.5,
 #: N = 6, T = 1
-CHAIN_SHA256 = "d9edd8aa0a18c6409c03a6b5f2eda491d692e140a5af042e8c8a4901852626a4"
+CHAIN_SHA256 = "c614a6c27b7b147afd37a9b683c5fed07e52ad1a9fdeb3fcb6b539037dd477d7"
 #: the same without ``norm_check_rel``: the closed forms' bits alone, which a
 #: change of the norm check's quadrature rule leaves as they are
-CLOSED_FORM_SHA256 = "d84b01883fb0264b07dc5966df33eaa8073b34a31cfebe37f7e3f418275cd314"
+CLOSED_FORM_SHA256 = "93583461272f803476cbb3ebeaf6ec241c9ec8ff994e4ac662b8b988ac2eeed9"
 
 
 def chain_bits(alpha, n, T, u0, target=None, norm_check=True) -> bytes:

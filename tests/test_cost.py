@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -75,9 +76,13 @@ class TestCostUpper:
 
     def test_backoff_walks_past_synthesis_accuracy_errors(self):
         # at N = 8 synthesize's closed-form norms miss their quadrature
-        # check; the run backs off instead of giving up
-        basis = make_basis(0.3, 8)
-        up = cost_upper(0.3, resolve_u0("poly:x(1-x)", basis), 0.05, 8)
+        # check; the run backs off instead of giving up. A mode: u0 needs
+        # no projection, so no quadrature bit of mu0 decides the failure
+        basis = make_basis(0.81, 8)
+        mu0 = unit_moment(basis, 1)
+        with pytest.raises(AccuracyError, match="closed-form norms disagree"):
+            null_control(basis, build_biortho(basis.eigenvalues, 0.1), mu0, 1e-6)
+        up = cost_upper(0.81, mu0, 0.1, 8)
         assert up.n_used < 8
         assert up.diagnostics["boundary_return"] <= BOUNDARY_TOL
 
@@ -362,6 +367,19 @@ class TestPinnedLimits:
 
     def test_boundary_return_limit(self):
         assert self.limits()["boundary_return"] == 1e-8
+
+    def test_zero_certification_fails_a_zero_off_by_1e_11(self):
+        # move j_1 so that |J_nu| reads about 1e-11, inside its bracket
+        basis = make_basis(0.5, 6)
+        mode = basis.modes[0]
+        moved = replace(basis, modes=(replace(mode, zero=mode.zero + 1e-11 / abs(
+            bessel.bessel_j_prime(basis.nu, mode.zero))), *basis.modes[1:]))
+        fam = build_biortho(basis.eigenvalues, 1.0)
+        for b, passed in ((basis, True), (moved, False)):
+            check = next(c for c in verify(b, fam, unit_moment(b, 1), 1e-6)
+                         if c["name"] == "zero_certification")
+            assert check["passed"] == passed, check
+        assert 5e-12 < check["metric"] < 2e-11
 
 
 class TestResolveU0:

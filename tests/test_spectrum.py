@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import os
@@ -16,9 +17,9 @@ import pytest
 from degctrl import bessel
 from degctrl.bessel import bessel_j, bessel_j_prime
 from degctrl.errors import DomainError, QuadratureError, UsageError
-from degctrl.quadrature import panel_rule
+from degctrl.quadrature import edge_rule, panel_rule
 from degctrl.spectrum import (DEFAULT_NODES, DEFAULT_PANELS, GAP_CONSECUTIVE,
-                              GAP_FIRST, eval_eigenfunction,
+                              GAP_FIRST, GRADED, eval_eigenfunction,
                               gram_matrix, make_basis, make_limit_basis,
                               neumann_trace_numeric, project,
                               source_coefficient,
@@ -26,6 +27,24 @@ from degctrl.spectrum import (DEFAULT_NODES, DEFAULT_PANELS, GAP_CONSECUTIVE,
                               trace_asymptotic_prefactor, unit_moment)
 
 ALPHA_GRID = [0.0, 0.3, 0.5, 0.7, 0.9]
+
+
+def _graded_nodes(basis):
+    """Nodes and weights of the graded rule from its stated layout: panels
+    [0, 1/64], [1/64, 1/16], [1/16, 1/4], then one uniform panel per 20
+    radians of j_N y on [1/4, 1], rounded up; 64 Gauss nodes on each."""
+    uniform = math.ceil(0.75 * basis.zeros[-1] / 20.0)
+    edges = np.concatenate([[0.0, 1.0 / 64.0, 1.0 / 16.0],
+                            np.linspace(0.25, 1.0, uniform + 1)])
+    return edge_rule(edges, DEFAULT_NODES)
+
+
+def _used_nodes(basis):
+    """Nodes and weights of the rule ``project`` last returned on ``basis``:
+    the uniform 2 * DEFAULT_PANELS one once it is held, else the graded one."""
+    if 2 * DEFAULT_PANELS in basis._rules:
+        return panel_rule(0.0, 1.0, 2 * DEFAULT_PANELS, DEFAULT_NODES)
+    return _graded_nodes(basis)
 
 
 class TestMakeBasis:
@@ -199,18 +218,20 @@ class TestProjection:
             assert np.sum(mu.coefficients**2) <= norm2 * (1.0 + 1e-6)
 
     def test_table_matches_per_mode_quadrature(self):
-        # project evaluates all modes in one table; the same rule summed
-        # mode by mode must give the same coefficients
-        f = lambda x: x * (1.0 - x)
-        for alpha in (0.0, 0.5, 0.9):
+        # project evaluates all modes in one table; the rule it used (graded
+        # for the bump, uniform for the kink), summed mode by mode, must
+        # give the same coefficients
+        for name, alpha in itertools.product(("bump", "kink"), (0.0, 0.5, 0.9)):
+            f = _PROFILES[name]
             basis = make_basis(alpha, 8)
-            y, w = panel_rule(0.0, 1.0, 2 * DEFAULT_PANELS, DEFAULT_NODES)
+            got = project(basis, f, tol=1e-5).coefficients
+            y, w = _used_nodes(basis)
             fx = (f(y ** (1.0 / basis.kappa)) * w
                   * y ** (1.0 / (2.0 - alpha)) / basis.kappa)
             expect = [m.norm_const
                       * np.dot(fx, bessel.bessel_j_many(basis.nu, m.zero * y))
                       for m in basis.modes]
-            assert np.max(np.abs(project(basis, f).coefficients - expect)) <= 1e-15
+            assert np.max(np.abs(got - expect)) <= 1e-15
 
     def test_gram_identity(self):
         for alpha in ALPHA_GRID:
@@ -443,14 +464,18 @@ _ESTIMATE_ALPHAS = [0.0, 0.3, 0.5, 0.9, 0.99]
 class TestEmbeddedEstimate:
     @pytest.mark.parametrize("alpha", _ESTIMATE_ALPHAS)
     def test_coefficients_are_the_fine_rule_bit_for_bit(self, alpha):
-        basis = make_basis(alpha, 8)
-        f = _PROFILES["bump"]
-        y, w = panel_rule(0.0, 1.0, 2 * DEFAULT_PANELS, DEFAULT_NODES)
-        table = bessel.bessel_j_many(basis.nu, basis.zeros[:, None] * y)
-        common = w * y ** (1.0 / (2.0 - alpha)) / basis.kappa
-        direct = basis.norm_consts * (table @ (f(y ** (1.0 / basis.kappa)) * common))
-        got = project(make_basis(alpha, 8), f).coefficients
-        assert got.tobytes() == direct.tobytes()
+        # the bump takes the graded rule, the kink falls through to the
+        # uniform one: each result is the sum of the rule it used
+        for name, tol in (("bump", 1e-8), ("kink", 1e-5)):
+            basis = make_basis(alpha, 8)
+            f = _PROFILES[name]
+            got = project(basis, f, tol=tol).coefficients
+            y, w = _used_nodes(basis)
+            table = bessel.bessel_j_many(basis.nu, basis.zeros[:, None] * y)
+            common = w * y ** (1.0 / (2.0 - alpha)) / basis.kappa
+            direct = basis.norm_consts * (table @ (f(y ** (1.0 / basis.kappa)) * common))
+            assert got.tobytes() == direct.tobytes(), name
+            assert (2 * DEFAULT_PANELS in basis._rules) == (name == "kink")
 
     @staticmethod
     def _readings(basis, f):
@@ -497,6 +522,57 @@ class TestEmbeddedEstimate:
         assert misses["embedded"] < misses["doubling"]
 
 
+class TestGradedRule:
+    """project's graded rule on smooth profiles and its margin on rough
+    ones. Tier-1 budget: under 2 s for the class (0.6 s when written)."""
+
+    #: |x - c|, a step at c and sqrt|x - c|, for c in 0.03..0.97 and near 0
+    ROUGH = [f(c) for f in (lambda c: lambda x: np.abs(x - c),
+                            lambda c: lambda x: np.where(x < c, 0.0, 1.0),
+                            lambda c: lambda x: np.sqrt(np.abs(x - c)))
+             for c in np.concatenate([np.arange(0.03, 0.98, 0.02),
+                                      np.arange(0.001, 0.0295, 0.002)])]
+    TOLS = [1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3]
+
+    def test_rough_profiles_pass_no_more_errors_than_the_uniform_rule(self):
+        # per tol: [accepted, accepted with an error above tol] by project
+        # and by the uniform rule's own gate, both against a 128-panel sum
+        counts = {"project": np.zeros((6, 2), int), "uniform": np.zeros((6, 2), int)}
+        for alpha in _ESTIMATE_ALPHAS:
+            basis = make_basis(alpha, 8)
+            for f in self.ROUGH:
+                ref, _ = _substituted_sums(basis, f, 128)
+                uniform, _ = _substituted_sums(basis, f, 2 * DEFAULT_PANELS)
+                estimate = np.max(np.abs(uniform - _substituted_sums(
+                    basis, f, 2 * DEFAULT_PANELS, "embedded")[0]))
+                for i, tol in enumerate(self.TOLS):
+                    try:
+                        got = project(basis, f, tol=tol).coefficients
+                        counts["project"][i] += 1, np.max(np.abs(got - ref)) > tol
+                    except QuadratureError:
+                        pass
+                    if estimate <= tol:
+                        counts["uniform"][i] += 1, np.max(np.abs(uniform - ref)) > tol
+        # when written both read 17/2, 75/8, 258/11, 459/7, 641/6, 854/7 of
+        # 945; a margin of 1 in place of 1e-3 reads 27/2, 96/10, 278/18, ...
+        assert counts["project"][:, 0].sum() > 2000
+        assert np.all(counts["project"][:, 1] <= counts["uniform"][:, 1]), counts
+
+    @pytest.mark.parametrize("n_modes, panels", [(4, 4), (8, 4), (12, 5), (16, 5), (30, 7)])
+    def test_smooth_profiles_take_the_graded_rule(self, monkeypatch, n_modes, panels):
+        steer = lambda x: (1.0 + 0.3 * x - 0.2 * x * x) * x * (1.0 - x)
+        calls = _count_bessel_j_many(monkeypatch)
+        for f, alpha in itertools.product((_PROFILES["bump"], steer), (0.0, 0.5, 0.99)):
+            basis = make_basis(alpha, n_modes)
+            y, _ = _graded_nodes(basis)
+            assert len(y) == panels * DEFAULT_NODES
+            ref, _ = _substituted_sums(basis, f, 128)
+            calls.clear()
+            got = project(basis, f).coefficients
+            assert calls == [(basis.nu, n_modes * len(y))]
+            assert np.max(np.abs(got - ref)) <= 1e-14, (alpha, n_modes)
+
+
 def _count_bessel_j_many(monkeypatch):
     """Record (nu, points) of every bessel_j_many call from here on."""
     calls = []
@@ -532,8 +608,8 @@ class TestBesselTable:
         calls = _count_bessel_j_many(monkeypatch)
         basis = make_basis(0.4139, 8)
         first = project(basis, f)
-        # the 16-panel rule alone, 8 x 1024 points: the estimate reads the same table
-        assert calls == [(basis.nu, 8 * 2 * DEFAULT_PANELS * DEFAULT_NODES)]
+        # the graded rule alone, 8 x 256 points: the estimate reads the same table
+        assert calls == [(basis.nu, 8 * 4 * DEFAULT_NODES)]
         assert np.array_equal(project(basis, f).coefficients, first.coefficients)
         assert len(calls) == 1
         again = project(make_basis(0.4139, 8), f)   # a new basis evaluates its own
@@ -547,12 +623,13 @@ class TestBesselTable:
         calls = _count_bessel_j_many(monkeypatch)
         verify(basis, fam, unit_moment(basis, 1), 1e-6)
         project(basis, lambda x: x * (1.0 - x))
+        # verify's 8-panel table, then the graded one the bump is summed on
         assert calls == [(basis.nu, 8 * DEFAULT_PANELS * DEFAULT_NODES),
-                         (basis.nu, 8 * 2 * DEFAULT_PANELS * DEFAULT_NODES)]
+                         (basis.nu, 8 * 4 * DEFAULT_NODES)]
 
     def test_cli_chain_evaluates_two_tables(self, monkeypatch, tmp_path):
         # verify, synthesize and simulate in one process share the CLI
-        # chain's basis: verify's 8-panel table, then only the 16-panel one
+        # chain's basis: verify's 8-panel table, then only the graded one
         from degctrl.cli import _chain, main
         _chain.cache_clear()
         calls = _count_bessel_j_many(monkeypatch)
@@ -564,7 +641,7 @@ class TestBesselTable:
             assert main(argv) == 0
         nu = make_basis(0.4143, 8).nu
         assert calls == [(nu, 8 * DEFAULT_PANELS * DEFAULT_NODES),
-                         (nu, 8 * 2 * DEFAULT_PANELS * DEFAULT_NODES)]
+                         (nu, 8 * 4 * DEFAULT_NODES)]
 
     @pytest.mark.parametrize("panels", [0, -1, 2.5, "8"])
     def test_project_rejects_panels(self, panels):
@@ -621,7 +698,7 @@ class TestBesselTable:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert all(r.tobytes() == reference.tobytes() for r in results)
-        assert sorted(basis._rules) == [2 * DEFAULT_PANELS]
+        assert list(basis._rules) == [GRADED]
 
     def test_store_is_left_out_of_comparison_and_repr(self):
         basis = make_basis(0.6, 5)

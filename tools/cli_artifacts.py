@@ -127,6 +127,9 @@ CONFIGS = {
     "verify_a03_n6_t05": ["verify", "--alpha", "0.3", "--modes", "6",
                           "--horizon", "0.5", "--tol", "1e-7"],
     "verify_config_file": ["verify", "--config", "verify.cfg", "--modes", "6"],
+    # N = 11: the graded projection rule takes two uniform panels on [1/4, 1]
+    "verify_a05_n11_bump": ["verify", "--alpha", "0.5", "--modes", "11",
+                            "--u0", "poly:x(1-x)"],
     # the flags that set what verify.cfg sets for u0 and grid
     "verify_a05_n6_bump_grid64": ["verify", "--alpha", "0.5", "--modes", "6",
                                   "--u0", "poly:x(1-x)", "--grid", "64"],
