@@ -77,7 +77,10 @@ class TestCostUpper:
     def test_backoff_walks_past_synthesis_accuracy_errors(self):
         # at N = 8 synthesize's closed-form norms miss their quadrature
         # check; the run backs off instead of giving up. A mode: u0 needs
-        # no projection, so no quadrature bit of mu0 decides the failure
+        # no projection, so no quadrature bit of mu0 decides the failure.
+        # The failure is the float closed_norms cancelling at T = 0.1
+        # (ROADMAP item 6: ||G||_L2 misread by 3.8e-3 relative at alpha
+        # 0.81); a fix of that cancellation must re-anchor this test
         basis = make_basis(0.81, 8)
         mu0 = unit_moment(basis, 1)
         with pytest.raises(AccuracyError, match="closed-form norms disagree"):

@@ -524,7 +524,7 @@ class TestEmbeddedEstimate:
 
 class TestGradedRule:
     """project's graded rule on smooth profiles and its margin on rough
-    ones. Tier-1 budget: under 2 s for the class (0.6 s when written)."""
+    ones. Tier-1 budget: under 2 s for the class (1.7 s when written)."""
 
     #: |x - c|, a step at c and sqrt|x - c|, for c in 0.03..0.97 and near 0
     ROUGH = [f(c) for f in (lambda c: lambda x: np.abs(x - c),
@@ -534,12 +534,14 @@ class TestGradedRule:
                                       np.arange(0.001, 0.0295, 0.002)])]
     TOLS = [1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3]
 
-    def test_rough_profiles_pass_no_more_errors_than_the_uniform_rule(self):
+    # N = 8 puts one graded panel on [1/4, 1], N = 12 two
+    @pytest.mark.parametrize("n_modes", [8, 12])
+    def test_rough_profiles_pass_no_more_errors_than_the_uniform_rule(self, n_modes):
         # per tol: [accepted, accepted with an error above tol] by project
         # and by the uniform rule's own gate, both against a 128-panel sum
         counts = {"project": np.zeros((6, 2), int), "uniform": np.zeros((6, 2), int)}
         for alpha in _ESTIMATE_ALPHAS:
-            basis = make_basis(alpha, 8)
+            basis = make_basis(alpha, n_modes)
             for f in self.ROUGH:
                 ref, _ = _substituted_sums(basis, f, 128)
                 uniform, _ = _substituted_sums(basis, f, 2 * DEFAULT_PANELS)
@@ -553,10 +555,28 @@ class TestGradedRule:
                         pass
                     if estimate <= tol:
                         counts["uniform"][i] += 1, np.max(np.abs(uniform - ref)) > tol
-        # when written both read 17/2, 75/8, 258/11, 459/7, 641/6, 854/7 of
-        # 945; a margin of 1 in place of 1e-3 reads 27/2, 96/10, 278/18, ...
+        # when written both read, of 945, at N = 8: 17/2, 75/8, 258/11,
+        # 459/7, 641/6, 854/7, and at N = 12: 16/1, 70/7, 254/11, 454/7,
+        # 641/6, 849/7. A margin of 1 in place of 1e-3 reads 27/2, 96/10,
+        # 278/18, 481/14, ... and 23/1, 90/8, 274/19, 476/15, ...
         assert counts["project"][:, 0].sum() > 2000
         assert np.all(counts["project"][:, 1] <= counts["uniform"][:, 1]), counts
+
+    @pytest.mark.parametrize("name, panels, tol", [("kink", DEFAULT_PANELS, 1e-5),
+                                                   ("csv", 16, 1e-6)])
+    def test_rough_profiles_evaluate_only_the_uniform_table(self, monkeypatch, name,
+                                                            panels, tol):
+        # the probe turns a kink or the csv profile away before the graded
+        # table is filled, so it costs the one uniform table it always did
+        calls = _count_bessel_j_many(monkeypatch)
+        for alpha in _ESTIMATE_ALPHAS:
+            basis = make_basis(alpha, 8)
+            calls.clear()
+            got = project(basis, _PROFILES[name], panels=panels, tol=tol).coefficients
+            assert calls == [(basis.nu, 8 * 2 * panels * DEFAULT_NODES)], alpha
+            assert list(basis._rules) == [2 * panels]
+            assert got.tobytes() == _substituted_sums(
+                basis, _PROFILES[name], 2 * panels)[0].tobytes()
 
     @pytest.mark.parametrize("n_modes, panels", [(4, 4), (8, 4), (12, 5), (16, 5), (30, 7)])
     def test_smooth_profiles_take_the_graded_rule(self, monkeypatch, n_modes, panels):
