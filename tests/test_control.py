@@ -219,6 +219,22 @@ class TestReachability:
         mu = MomentVector(alpha=0.0, coefficients=coeffs, basis_id=basis.basis_id)
         assert reachability_score(mu, 0.0, K=k).verdict == "geometric-decay-pass"
 
+    def test_equal_tail_terms_fail(self):
+        # tail terms equal to the bit: every ratio reads exactly 1.0, which
+        # is no decay; each coefficient is nudged by ulps until its term,
+        # computed as reachability_score computes it, matches term 3's
+        m = np.arange(1, 7, dtype=float)
+        terms = lambda mu: m**1.5 * mu * np.exp(0.3 * 0.75 * np.pi * m)   # K 0.3, kappa 0.75
+        mu = 1.0 / (m**1.5 * np.exp(0.3 * 0.75 * np.pi * m))
+        for i in range(3, 6):
+            for _ in range(8):
+                t = terms(mu)
+                if t[i] != t[2]:
+                    mu[i] = np.nextafter(mu[i], 0.0 if t[i] > t[2] else 1.0)
+        assert np.all(terms(mu)[2:] == terms(mu)[2])
+        target = MomentVector(alpha=0.5, coefficients=mu, basis_id="alpha=0.5;N=6")
+        assert reachability_score(target, 0.5, K=0.3).verdict == "fail"
+
     def test_flat_target_fails(self, laplace_setup):
         basis, _ = laplace_setup
         mu = MomentVector(alpha=0.0, coefficients=np.ones(6),

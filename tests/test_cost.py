@@ -384,6 +384,39 @@ class TestPinnedLimits:
             assert check["passed"] == passed, check
         assert 5e-12 < check["metric"] < 2e-11
 
+    @staticmethod
+    def scaled(basis, index, **fields):
+        """``basis`` with mode ``index``'s named fields multiplied by the
+        given factors."""
+        mode = basis.modes[index - 1]
+        moved = replace(mode, **{name: getattr(mode, name) * factor
+                                 for name, factor in fields.items()})
+        return replace(basis, modes=(*basis.modes[:index - 1], moved,
+                                     *basis.modes[index:]))
+
+    def verify_check(self, name, moved):
+        """``verify``'s check ``name`` on the alpha 0.5, N = 6 basis, which
+        passes it, and on ``moved`` from it, with one family for both."""
+        basis = make_basis(0.5, 6)
+        fam = build_biortho(basis.eigenvalues, 1.0)
+        for b, passed in ((basis, True), (moved(basis), False)):
+            check = next(c for c in verify(b, fam, unit_moment(b, 1), 1e-6)
+                         if c["name"] == name)
+            assert check["passed"] == passed, check
+        return check["metric"]
+
+    def test_orthonormality_fails_a_norm_off_by_1e_7(self):
+        # C_3 (1 + 1e-7) moves G_33 by about 2e-7, five times below 1e-6
+        metric = self.verify_check(
+            "orthonormality", lambda b: self.scaled(b, 3, norm_const=1.0 + 1e-7))
+        assert 1.5e-7 < metric < 2.5e-7
+
+    def test_source_coefficient_fails_a_trace_off_by_1e_6(self):
+        # r_1 (1 + 1e-6) moves r_1 / lambda_1 by about 3.5e-7, below 1e-6
+        metric = self.verify_check(
+            "source_coefficient", lambda b: self.scaled(b, 1, neumann_trace=1.0 + 1e-6))
+        assert 3e-7 < metric < 4e-7
+
 
 class TestResolveU0:
     def test_mode_descriptor(self):

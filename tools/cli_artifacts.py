@@ -120,6 +120,8 @@ CONFIGS = {
     "verify_a05_n8": ["verify", "--alpha", "0.5", "--modes", "8"],
     "verify_a05_n8_seed3": ["verify", "--alpha", "0.5", "--modes", "8", "--seed", "3"],
     "verify_a09_n8": ["verify", "--alpha", "0.9", "--modes", "8"],
+    # N = 11: the largest certified N at alpha 0.9, T 1
+    "verify_a09_n11": ["verify", "--alpha", "0.9", "--modes", "11"],
     "verify_a05_n10": ["verify", "--alpha", "0.5", "--modes", "10"],
     "verify_a0_n10_t2": ["verify", "--alpha", "0", "--modes", "10", "--horizon", "2"],
     # T = 4: the sigma replay needs the time rule graded toward t = T
