@@ -37,8 +37,9 @@ The residual applies the solved coefficients to the same closed-form
 Gram, evaluated from the exponents and multiplied in long double. Its
 rounding is at most (N+1) u max(|G| |A|), with u the long-double unit
 roundoff and |.| taken entrywise. On 100 alphas in [0, 0.99], T from 0.1
-to 4 and N = 4..16 that reads at most 2.2e-8 on a certified family (|A|
-reaches 6e12 at N = 12), 2% of the default tol.
+to 4 and N = 4..16 that reads at most 4.1e-8 on a certified family (|A|
+reaches 8.9e12 at N = 12), 4% of the default tol. The solve refines its
+coefficients against that same long-double Gram (``_solve_spd``).
 
 Norms satisfy ||sigma_n|| e^{lambda_n T} = ||tilde_sigma_n|| = sqrt(a[n][n]),
 so the growth profile B_T e^{K sqrt(lambda_n)} of the family can be fitted
@@ -92,9 +93,18 @@ def _affine_moments(a, b, T, lam, i1):
     return a * i1 + b * (T / lam - i1 / lam)
 
 
-def _solve_spd(G: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Equilibrated Cholesky solve with one extended-precision refinement
-    step; ``AccuracyError`` if the Gram is not numerically positive definite."""
+def _solve_spd(G: np.ndarray, B: np.ndarray, G_ld: np.ndarray) -> np.ndarray:
+    """Equilibrated Cholesky solve of G X = B with one extended-precision
+    refinement step; ``AccuracyError`` if G is not numerically positive
+    definite.
+
+    The factor is inverted once and L^-T L^-1 applied by matmul, in the
+    solve and in the refinement. The refinement residual is formed in long
+    double against ``G_ld``, the long-double Gram that the certificate
+    reads, equilibrated like G: refinement converges to the system whose
+    residual it forms, so it refines toward that Gram, not toward its
+    rounding to float64.
+    """
     d = 1.0 / np.sqrt(G.diagonal())
     rows = d[:, None]
     Gs = G * rows * d
@@ -103,11 +113,12 @@ def _solve_spd(G: np.ndarray, B: np.ndarray) -> np.ndarray:
         L = np.linalg.cholesky(Gs)
     except np.linalg.LinAlgError:
         raise AccuracyError("Cholesky failed: Gram not positive definite") from None
-    X = np.linalg.solve(L.T, np.linalg.solve(L, Bs))
+    Li = np.linalg.inv(L)
+    X = Li.T @ (Li @ Bs)
     # one refinement step, residual accumulated in 80-bit; np.dot sums in
     # matmul's order for long double, without its wrapper's cost
-    R = (Bs.astype(_LD) - np.dot(Gs.astype(_LD), X.astype(_LD))).astype(float)
-    X = X + np.linalg.solve(L.T, np.linalg.solve(L, R))
+    R = (Bs.astype(_LD) - np.dot(G_ld * rows * d, X.astype(_LD))).astype(float)
+    X = X + Li.T @ (Li @ R)
     return X * rows
 
 
@@ -232,11 +243,12 @@ def build_biortho(lambdas, T: float, tol: float = DEFAULT_TOL) -> BiorthogonalFa
     Only the certificate admits a family: the residual max |G A - I| of the
     solved coefficients A against the closed-form Gram G in long double
     must stay within ``tol``, else ``AccuracyError``; its own rounding
-    stays below 2.2e-8 (module docstring). A Gram condition above
-    ``CONDITION_LIMIT`` rejects early, before any solve, with
-    ``ConditioningError`` (an ``AccuracyError``); on 100 alphas in
-    [0, 0.99], T in {0.5, 1, 2, 4} and N = 8..16 every family it rejects
-    has a residual of 8e-6 or more.
+    stays below 4.1e-8 (module docstring). The long-double Gram is formed
+    once and serves both the solve's refinement and the certificate. A
+    Gram condition above ``CONDITION_LIMIT`` rejects early, before any
+    solve, with ``ConditioningError`` (an ``AccuracyError``); on 100
+    alphas in [0, 0.99], T in {0.5, 1, 2, 4} and N = 8..16 every family
+    it rejects (1,423) has a residual of 1.8e-6 or more.
     Neither error says which smaller N would pass. ``T`` and ``tol`` are
     taken through ``float`` and must be finite and positive (``DomainError``
     otherwise). Every call builds its own family.
@@ -263,9 +275,8 @@ def build_biortho(lambdas, T: float, tol: float = DEFAULT_TOL) -> BiorthogonalFa
             f"Gram condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e} for "
             f"N={n}, T={T}", condition=cond)
     B = _shift(n)
-    A = _solve_spd(G, B)
-
     G_ld = exponential_gram(lams_full.astype(_LD), T)
+    A = _solve_spd(G, B, G_ld)
     resid = np.dot(G_ld, A.astype(_LD)).astype(float).T - B.T  # (N, N+1)
     worst = np.abs(resid).max()
     if worst > tol:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from degctrl import bessel
 from degctrl.bessel import (SERIES_CUTOFF, bessel_j, bessel_j_many,
                             bessel_j_prime, bessel_zero,
-                            lorch_muldoon_bracket)
+                            lorch_muldoon_bracket, mcmahon_guess)
 from degctrl.errors import ConvergenceError, DomainError
 from degctrl.spectrum import make_basis
 
@@ -301,6 +301,31 @@ class TestZeros:
         assert rec.derivative == bessel_j_prime(nu, rec.zero)
         assert abs(rec.derivative - scipy.special.jvp(nu, rec.zero)) < 1e-13
 
+    def test_mcmahon_start_from_mode_3(self):
+        # through the (8 beta)^-7 term the start lies within 7.5e-8 of
+        # j_{nu,3} (7.4e-8 at nu = 0) and within 5.1e-9 from n = 4 on
+        # (DLMF 10.21.19)
+        for nu in np.linspace(0.0, 0.5, 51):
+            for n in range(3, 41):
+                err = abs(mcmahon_guess(float(nu), n) - bessel_zero(float(nu), n).zero)
+                assert err <= (7.5e-8 if n == 3 else 5.1e-9), (nu, n, err)
+
+    def test_one_newton_step_from_mode_3(self):
+        # from that start one Newton step reaches the zero. Where the loop
+        # takes a second step, the first has landed within 2 ulps and its
+        # |J_nu| sits just above the 1e-15 polishing floor (nu 0.4, n 11:
+        # 1.4e-15), so the second step only moves the last bits
+        for nu in np.linspace(0.0, 0.5, 51):
+            nu = float(nu)
+            for n in range(3, 41):
+                rec = bessel_zero(nu, n)
+                if rec.newton_iters <= 1:
+                    continue
+                x0 = mcmahon_guess(nu, n)
+                x1 = x0 - bessel_j(nu, x0).value / bessel_j_prime(nu, x0)
+                assert rec.newton_iters == 2, (nu, n, rec.newton_iters)
+                assert abs(rec.zero - x1) <= 2.0 * np.spacing(x1), (nu, n)
+
     def test_escaped_iterate_raises(self, monkeypatch):
         # a J_{nu+1} that makes J'_nu nearly vanish sends Newton far away
         exact = bessel._eval_any_order
@@ -317,11 +342,12 @@ class TestZeros:
 
 
 #: float.hex of zeros j_{nu,n} and J'_nu(j_{nu,n}): Miller's regime for
-#: j <= 12.6, Hankel's above
+#: j <= 12.6, Hankel's above. Each zero lies within 1.4e-16 relative of
+#: the 40-digit mpmath zero, each J' within 5e-16
 PINNED_ZEROS = [
     (0.0, 1, "0x1.33d152e971b3fp+1", "-0x1.09cdb36551281p-1"),
     (1.0 / 3.0, 2, "0x1.8218871cffcf5p+2", "0x1.4cf394377d0bcp-2"),
-    (0.25, 4, "0x1.85cd8cc008962p+3", "0x1.d45634307c732p-3"),
+    (0.25, 4, "0x1.85cd8cc008963p+3", "0x1.d45634307c732p-3"),
     (0.5, 5, "0x1.f6a7a2955385ep+3", "-0x1.9c4c0200b604fp-3"),
     (0.1, 12, "0x1.28979c711b1fbp+5", "0x1.0c61e60109328p-3"),
     (0.45, 40, "0x1.f657676a520bbp+6", "0x1.23a10bc96e400p-4"),
@@ -346,7 +372,7 @@ PINNED_SERIES = [
 
 #: sha256 of the lines "<zero hex> <J' hex>" of j_{nu,n}, nu = 0, 0.01,
 #: ..., 0.5 (np.linspace) and n = 1..40, nu outermost
-ZERO_TABLE_SHA256 = "ec9abe720866b1473c92427d9cf51f67248021d0f89d63718557eb6915d77bcd"
+ZERO_TABLE_SHA256 = "996eb6cc941e7f78cbd32e9faa7cf1a40920064add1b88d64ef7b5b24da30ad1"
 
 
 class TestPinnedBits:

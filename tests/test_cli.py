@@ -224,13 +224,15 @@ class TestCostSweepCommand:
             assert float(row["lower"]) <= float(row["upper"])
 
     def test_failed_point_row(self, tmp_path, capsys):
-        # T = 0.02: alpha = 0 backs off to a passing N, alpha = 0.9 finds none
-        assert run_cli(["cost-sweep", "--alphas", "0,0.9", "--modes", "8",
-                        "--horizon", "0.02", "--u0", "mode:1",
+        # T = 0.07: alpha = 0.5 backs off to a passing N = 6, alpha = 0.9
+        # finds none
+        assert run_cli(["cost-sweep", "--alphas", "0.5,0.9", "--modes", "8",
+                        "--horizon", "0.07", "--u0", "mode:1",
                         "--out-dir", str(tmp_path)]) == 1
         assert "lower<=upper FAIL" in capsys.readouterr().out
         passed, failed = json.loads((tmp_path / "cost_sweep.json").read_text())["rows"]
         assert passed["ok"] is True and passed["upper"] is not None
+        assert passed["N_used"] == 6
         assert (failed["alpha"], failed["upper"], failed["ok"]) == (0.9, None, False)
         assert all(f"N={n}:" in failed["message"] for n in range(4, 9))
 
@@ -543,9 +545,9 @@ class TestChainReuse:
         self.cold_caches()
         solves, solve = [], biortho._solve_spd
 
-        def counting(G, B):
+        def counting(G, B, G_ld):
             solves.append(len(G))
-            return solve(G, B)
+            return solve(G, B, G_ld)
 
         monkeypatch.setattr(biortho, "_solve_spd", counting)
         for command in self.COMMANDS:

@@ -64,10 +64,11 @@ class TestCostUpper:
         assert up.diagnostics["moment_residuals"] < 1e-6
 
     def test_backoff_walks_past_oracle_failures(self):
-        # at T = 0.02 the boundary return of N = 8..5 fails its limit while
-        # every family certifies; N = 4 passes all four checks
-        up = cost_upper(0.0, unit_moment(make_basis(0.0, 8), 1), 0.02, 8)
-        assert up.n_used == 4
+        # at alpha 0.5, T = 0.07 the boundary return of N = 8 and 7 fails its
+        # limit (9.5e-7 and 1.2e-7) while both families certify; N = 6 passes
+        # all four checks, its boundary return 0 and the rest 100x inside
+        up = cost_upper(0.5, unit_moment(make_basis(0.5, 8), 1), 0.07, 8)
+        assert up.n_used == 6
         d = up.diagnostics
         assert d["moment_residuals"] <= 1e-6
         assert d["boundary_return"] <= BOUNDARY_TOL
@@ -264,10 +265,10 @@ class TestOneBasisPerCall:
         return calls
 
     def test_cost_upper_backs_off_on_prefixes_of_one_basis(self, monkeypatch):
-        mu0 = unit_moment(make_basis(0.0, 8), 1)
+        mu0 = unit_moment(make_basis(0.5, 8), 1)
         calls = self.count_zeros(monkeypatch)
-        # T = 0.02 walks N = 8 down to 4
-        assert cost_upper(0.0, mu0, 0.02, 8).n_used == 4
+        # alpha 0.5, T = 0.07 walks N = 8 down to 6
+        assert cost_upper(0.5, mu0, 0.07, 8).n_used == 6
         assert len(calls) == 8
 
     def test_cost_lower_builds_one_basis(self, monkeypatch):
@@ -309,12 +310,12 @@ class TestRealTol:
     positive real is a DomainError before any basis is built."""
 
     def test_string_and_fraction_tols(self):
-        basis = make_basis(0.0, 8)
+        basis = make_basis(0.5, 8)
         mu0 = unit_moment(basis, 1)
-        # T = 0.02 backs off past oracle failures, whose trail formats tol
-        ref = cost_upper(0.0, mu0, 0.02, 8)
+        # T = 0.07 backs off past oracle failures, whose trail formats tol
+        ref = cost_upper(0.5, mu0, 0.07, 8)
         for tol in ("1e-6", Fraction(1, 10**6)):
-            up = cost_upper(0.0, mu0, 0.02, 8, tol=tol)
+            up = cost_upper(0.5, mu0, 0.07, 8, tol=tol)
             assert (up.value, up.n_used, up.diagnostics) == (ref.value, ref.n_used,
                                                              ref.diagnostics)
         assert cost_sweep([0.5], "mode:1", 1.0, 8, tol="1e-6") == cost_sweep(

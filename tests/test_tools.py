@@ -31,3 +31,22 @@ def test_each_difference_is_named(tmp_path):
         f"only in {ours}: b/new.csv",
         "differs: a/stdout.txt",
     ]
+
+
+def test_verdict_changes_are_named_apart_from_bytes(tmp_path):
+    ref = _tree(tmp_path / "ref", {
+        "same/stdout.txt": b"residual 1e-7 PASS\n", "same/exit_code.txt": b"0\n",
+        "word/stdout.txt": b"check PASS\noverall PASS\n", "word/exit_code.txt": b"0\n",
+        "code/stdout.txt": b"", "code/exit_code.txt": b"0\n",
+        "gone/stdout.txt": b"PASS\n", "gone/exit_code.txt": b"0\n"})
+    ours = _tree(tmp_path / "ours", {
+        "same/stdout.txt": b"residual 2e-7 PASS\n", "same/exit_code.txt": b"0\n",
+        "word/stdout.txt": b"check PASS\noverall FAIL\n", "word/exit_code.txt": b"0\n",
+        "code/stdout.txt": b"", "code/exit_code.txt": b"2\n"})
+    # a byte-only change ("same") and a config on one side only ("gone")
+    # print no verdict line
+    assert TOOL["verdict_changes"](ours, ref) == [
+        "verdict: code exit 0 - -> exit 2 -",
+        "verdict: word exit 0 PASS -> exit 0 FAIL",
+    ]
+    assert "differs: same/stdout.txt" in TOOL["compare_trees"](ours, ref)

@@ -13,12 +13,16 @@ exactly when their two outdirs hold the same files with the same bytes.
 Given a reference outdir, written earlier by this tool for another
 checkout, the tool then compares the two trees byte for byte, prints each
 file that differs or exists on one side only, and exits 1 if there is one.
+Apart from those byte differences it prints one line
+``verdict: <config> <old> -> <new>`` for each config whose exit code or
+final PASS/FAIL word of stdout differs between the trees.
 """
 
 from __future__ import annotations
 
 import filecmp
 import os
+import re
 import subprocess
 import sys
 
@@ -50,26 +54,29 @@ CONFIGS = {
     # T = 0.7: N = 11 near the ceiling
     "biortho_a05_n11_t07": ["biortho", "--alpha", "0.5", "--modes", "11",
                             "--horizon", "0.7"],
-    # T = 0.05: the family certifies (residual 1.2e-7), but its zero-mean
-    # value 7.9e-8 exceeds the 1e-8 limit, so biortho prints FAIL, exit 1
+    # T = 0.05: the family certifies (residual 1.3e-7), but its zero-mean
+    # value 6.6e-8 exceeds the 1e-8 limit, so biortho prints FAIL, exit 1
     "biortho_a05_n6_t005": ["biortho", "--alpha", "0.5", "--modes", "6",
                             "--horizon", "0.05"],
-    # N = 12 at T = 1: certifies with residual 9.90e-7 against tol 1e-6, so
-    # its gram_condition and residual_max bits sit where the decision turns
+    # N = 12 at T = 1: the residual reads 1.72e-6 (60 digits: 1.7178e-6)
+    # against tol 1e-6, near where the decision turns: numerical failure, exit 1
     "biortho_a0_n12": ["biortho", "--alpha", "0", "--modes", "12"],
     # N = 16 at T = 1: the condition gate rejects before any solve
     "biortho_a0_n16_gated": ["biortho", "--alpha", "0", "--modes", "16"],
-    # T = 4: N = 11 certifies with residual 1.80e-7 against the exact Gram
+    # T = 4: N = 11 certifies with residual 1.62e-7 against the exact Gram
     "biortho_a0_n11_t4": ["biortho", "--alpha", "0", "--modes", "11",
                           "--horizon", "4"],
     "synthesize_a05_bump": ["synthesize", "--alpha", "0.5", "--modes", "8",
                             "--u0", "poly:x(1-x)"],
     "synthesize_a05_target": ["synthesize", "--alpha", "0.5", "--modes", "6",
                               "--u0", "mode:1", "--target", "mode:2"],
-    # N = 12 at T = 1: e^{-lambda_12 T} underflows to 0 in the collapse of
-    # the mode coefficients onto the exponentials
+    # N = 12 at T = 1: the family fails its certificate (biortho_a0_n12)
     "synthesize_a0_n12_target": ["synthesize", "--alpha", "0", "--modes", "12",
                                  "--u0", "mode:1", "--target", "mode:2"],
+    # N = 12 at T = 1: e^{-lambda_12 T} underflows to 0 in the collapse of
+    # the mode coefficients onto the exponentials
+    "synthesize_a03_n12_target": ["synthesize", "--alpha", "0.3", "--modes", "12",
+                                  "--u0", "mode:1", "--target", "mode:2"],
     # the reachability score fails at the fitted K = 0.3558: synthesize
     # refuses before it writes an artifact
     "synthesize_a05_target_refused": ["synthesize", "--alpha", "0.5", "--modes", "6",
@@ -89,8 +96,8 @@ CONFIGS = {
     "simulate_a0_n10_t2_grid2": ["simulate", "--alpha", "0", "--modes", "10",
                                  "--horizon", "2", "--grid", "2",
                                  "--u0", "poly:x(1-x)"],
-    # T = 0.02: |G(T)| = 1.91e-6 fails its 1e-8 limit while the terminal
-    # state and the propagation oracle pass
+    # T = 0.02: the closed-form norms miss their quadrature check by
+    # 1.62e-6 relative (> 1e-6): numerical failure, exit 1
     "simulate_a0_n5_t002": ["simulate", "--alpha", "0", "--modes", "5",
                             "--horizon", "0.02", "--u0", "mode:1"],
     # a 4097-row trajectory.csv: the CSV writer's bulk path
@@ -100,11 +107,15 @@ CONFIGS = {
                          "--u0", "mode:1"],
     "cost_sweep_bump_csv": ["cost-sweep", "--alphas", "0.5,0.95", "--modes", "8",
                             "--u0", "poly:x(1-x)", "--format", "csv"],
-    # T = 0.02: alpha = 0 backs off past oracle failures to N = 4, and at
-    # alpha = 0.9 no N passes
+    # T = 0.02: no N passes at either alpha; at alpha = 0, N = 4 reads
+    # boundary_return 1.19e-7 = 2^-23, the rounding floor of G(T)
     "cost_sweep_t002_backoff": ["cost-sweep", "--alphas", "0,0.9", "--modes", "8",
                                 "--horizon", "0.02", "--u0", "mode:1"],
-    # N = 12 is rejected at both alphas, so both back off to N = 11
+    # T = 0.07: alpha = 0.5 backs off past two boundary_return failures to
+    # N = 6, and at alpha = 0.9 no N passes
+    "cost_sweep_t007_backoff": ["cost-sweep", "--alphas", "0.5,0.9", "--modes", "8",
+                                "--horizon", "0.07", "--u0", "mode:1"],
+    # N = 12 certifies at both alphas, with no back-off
     "cost_sweep_n12_backoff": ["cost-sweep", "--alphas", "0.3,0.6", "--modes", "12",
                                "--u0", "mode:1"],
     "cost_sweep_csv_state": ["cost-sweep", "--alphas", "0.3", "--modes", "6",
@@ -120,7 +131,7 @@ CONFIGS = {
     "verify_a05_n8": ["verify", "--alpha", "0.5", "--modes", "8"],
     "verify_a05_n8_seed3": ["verify", "--alpha", "0.5", "--modes", "8", "--seed", "3"],
     "verify_a09_n8": ["verify", "--alpha", "0.9", "--modes", "8"],
-    # N = 11: the largest certified N at alpha 0.9, T 1
+    # N = 11: one below the largest certified N at alpha 0.9, T 1
     "verify_a09_n11": ["verify", "--alpha", "0.9", "--modes", "11"],
     "verify_a05_n10": ["verify", "--alpha", "0.5", "--modes", "10"],
     "verify_a0_n10_t2": ["verify", "--alpha", "0", "--modes", "10", "--horizon", "2"],
@@ -186,6 +197,28 @@ def compare_trees(outdir, reference) -> list[str]:
     return lines
 
 
+def _verdict(root, name) -> str:
+    """``exit <code> <word>`` of one config's run, the word being the last
+    PASS or FAIL of its stdout, or ``-`` when it printed neither."""
+    with open(os.path.join(root, name, "exit_code.txt")) as fh:
+        code = fh.read().strip()
+    with open(os.path.join(root, name, "stdout.txt")) as fh:
+        words = re.findall(r"\b(PASS|FAIL)\b", fh.read())
+    return f"exit {code} {words[-1] if words else '-'}"
+
+
+def verdict_changes(outdir, reference) -> list[str]:
+    """One line per config on both sides whose exit code or final PASS/FAIL differs."""
+    names = sorted(os.path.dirname(path) for path in _files(outdir) & _files(reference)
+                   if os.path.basename(path) == "exit_code.txt")
+    lines = []
+    for name in names:
+        old, new = _verdict(reference, name), _verdict(outdir, name)
+        if old != new:
+            lines.append(f"verdict: {name} {old} -> {new}")
+    return lines
+
+
 def main(argv) -> int:
     if len(argv) not in (2, 3):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -213,6 +246,10 @@ def main(argv) -> int:
         for line in diffs:
             print(line)
         print(f"{len(diffs)} files differ from {reference[0]}")
+        verdicts = verdict_changes(outdir, reference[0])
+        for line in verdicts:
+            print(line)
+        print(f"{len(verdicts)} verdicts differ")
         return 1 if diffs else 0
     return 0
 
